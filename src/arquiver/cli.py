@@ -15,7 +15,7 @@ from typing import Sequence
 from .dorey import DoreyTriple, dorey, embed_pair_in_AR, multiple_pole_class
 from .quiver import DynkinQuiver, adapted_word, ar_quiver, height_function, minimal_pairs
 from .rootsys import FiniteType, format_root, root_sequence
-from .sequiver import se0_window, se_window, schur_weyl_quiver, vertex_class
+from .sequiver import schur_weyl_quiver, se0_seed, se_window, vertex_class
 from .spectral import AffineType, SpectralParam, denominator
 
 _ARROW_RE = re.compile(r"(\d+)>(\d+)")
@@ -178,7 +178,7 @@ def _cmd_se_quiver(args: argparse.Namespace) -> int:
     g = _parse_affine(args)
     bound = args.bound if args.bound is not None else 2 * g.N
     if args.se0:
-        seeds = list(se0_window(g, bound))
+        seeds = [se0_seed(g)]
     elif args.seed:
         seeds = [vertex_class(g, *_parse_vertex(s)) for s in args.seed]
     else:

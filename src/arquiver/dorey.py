@@ -60,11 +60,6 @@ def _mqp(e: int) -> tuple[int, int]:
     return (2 * e % 4, e)
 
 
-def _dual_spin(n: int, m: int) -> int:
-    """Longest-element involution on a fork index of D_n."""
-    return 2 * n - 1 - m if n % 2 == 1 and m >= n - 1 else m
-
-
 def condition_tag(
     g: AffineType, i: int, j: int, k: int, rx: tuple[int, int], ry: tuple[int, int]
 ) -> str | None:
@@ -98,16 +93,13 @@ def condition_tag(
         if k == low and i in spin and j in spin:
             if (n - k) % 2 == (i - j) % 2 and rx == _mqp(k + 1 - n) and ry == _mqp(n - k - 1):
                 return "D-iii"
+        # The parity rule n - low = l - m* (mod 2) on the fork indices m, l
+        # reduces to i + j + k = 0 (mod 2), since m* = m + n (mod 2) on D_n.
+        parity = (i + j + k) % 2 == 0
         if i == low and j in spin and k in spin:
-            parity = any(
-                (n - i) % 2 == (l_ - _dual_spin(n, m_)) % 2 for m_, l_ in ((j, k), (k, j))
-            )
             if parity and rx == _mqp(i + 1 - n) and ry == _mqp(2 * i):
                 return "D-iii"
         if j == low and i in spin and k in spin:
-            parity = any(
-                (n - j) % 2 == (l_ - _dual_spin(n, m_)) % 2 for m_, l_ in ((i, k), (k, i))
-            )
             if parity and rx == _mqp(-2 * j) and ry == _mqp(n - j - 1):
                 return "D-iii"
     return None

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .rootsys import (
     FiniteType,
     Root,
-    add_roots,
     apply_word,
     distance,
     neighbors,
     positive_roots,
-    reflect,
     root_sequence,
-    simple_root,
     sub_roots,
 )
 
@@ -103,16 +100,8 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
     if target != "w0":
         raise ValueError(f"unknown target {target!r}")
     xi = height_function(q)
-    _, fwd, _ = _tau_data(q)
-    columns: list[tuple[int, int]] = []
-    for i in t.index_set:
-        root, p = gamma_root(q, i), xi[i]
-        columns.append((p, i))
-        img = fwd[root]
-        while all(c >= 0 for c in img):
-            p -= 2
-            columns.append((p, i))
-            img = fwd[img]
+    m = _tau_data(q)[3]
+    columns = [(xi[i] - 2 * k, i) for i in t.index_set for k in range(m[i] + 1)]
     out = tuple(i for _, i in sorted(columns, key=lambda ci: (-ci[0], ci[1])))
     if not is_adapted(q, out):
         raise AssertionError("column reading is not adapted to the orientation")
@@ -142,8 +131,12 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
 
 
 @lru_cache(maxsize=None)
-def _tau_data(q: DynkinQuiver) -> tuple[tuple[int, ...], dict[Root, Root], dict[Root, Root]]:
-    """Adapted Coxeter word plus its action (and inverse action) on positive roots."""
+def _tau_data(
+    q: DynkinQuiver,
+) -> tuple[tuple[int, ...], dict[Root, Root], dict[Root, Root], dict[int, int]]:
+    """Adapted Coxeter word, its action (and inverse action) on positive roots,
+    and the AR-quiver row lengths m_i: how many times tau maps gamma_root(q, i)
+    to a positive root before the first negative image."""
     t = q.ftype
     word = adapted_word(q, "coxeter")
     fwd = {}
@@ -152,7 +145,14 @@ def _tau_data(q: DynkinQuiver) -> tuple[tuple[int, ...], dict[Root, Root], dict[
     for r in positive_roots(t):
         fwd[r] = apply_word(t, word, r)
         inv[r] = apply_word(t, rev, r)
-    return word, fwd, inv
+    m = {}
+    for i in t.index_set:
+        count, img = 0, fwd[gamma_root(q, i)]
+        while all(c >= 0 for c in img):
+            count += 1
+            img = fwd[img]
+        m[i] = count
+    return word, fwd, inv, m
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
@@ -196,7 +196,7 @@ def phi(
     t = q.ftype
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
-    _, fwd, inv = _tau_data(q)
+    _, fwd, inv, _ = _tau_data(q)
     table: dict[tuple[int, int], tuple[Root, int]] = {}
     for i in t.index_set:
         start = gamma_root(q, i)
@@ -232,7 +232,6 @@ class ARData:
     gamma_vertices: frozenset[tuple[int, int]]
     gamma_arrows: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
     m: dict[int, int]
-    tau_word: tuple[int, ...]
 
 
 def ar_quiver(
@@ -261,16 +260,6 @@ def ar_quiver(
         for j in neighbors(t, i):
             if (j, p + 1) in gamma:
                 arrows.append(((i, p), (j, p + 1)))
-    _, fwd, _ = _tau_data(q)
-    m_vals = {}
-    for i in t.index_set:
-        root = gamma_root(q, i)
-        count = 0
-        img = fwd[root]
-        while all(c >= 0 for c in img):
-            count += 1
-            img = fwd[img]
-        m_vals[i] = count
     return ARData(
         quiver=q,
         height=dict(xi),
@@ -279,8 +268,7 @@ def ar_quiver(
         phi_inv=inv,
         gamma_vertices=gamma,
         gamma_arrows=tuple(sorted(arrows)),
-        m=m_vals,
-        tau_word=coxeter_word(q),
+        m=dict(_tau_data(q)[3]),
     )
 
 

@@ -6,16 +6,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .quiver import ARData
 from .rootsys import distance, simple_root
-from .spectral import (
-    AffineType,
-    SpectralParam,
-    dual_point,
-    zero_order,
-)
+from .spectral import AffineType, SpectralParam, zero_order
 
 
 def has_sign_quotient(g: AffineType, i: int) -> bool:
@@ -68,29 +63,15 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
     return orders.pop()
 
 
-def _anchor(g: AffineType) -> int:
-    return 1 if g.family == "A" else g.N - 1
+def se0_seed(g: AffineType) -> SeVertex:
+    """The class (1 for A, N-1 for D, q^0) whose parity lattice is Se0."""
+    return vertex_class(g, 1 if g.family == "A" else g.N - 1, SpectralParam.one())
 
 
 def se0_contains(g: AffineType, i: int, x: SpectralParam) -> bool:
     """Membership of the class of (i, x) in the distinguished component Se0."""
     v = vertex_class(g, i, x)
-    x = v.x
-    n = g.N
-    if g.twist == 1:
-        e = x.minus_q_exponent()
-        return e is not None and e % 2 == distance(g.classical(), _anchor(g), i) % 2
-    if g.family == "A":
-        if n % 2 == 0:
-            return x.minus_q_exponent() is not None
-        return x.zeta % 2 == 0 and x.m % 2 == (i + 1) % 2
-    if i <= n - 2:
-        if x.zeta == 1:
-            return x.m % 2 == 0 and (n - 1 - i) % 2 == 0
-        if x.zeta == 0:
-            return x.m % 2 == 1 and (n - 1 - i) % 2 == 1
-        return False
-    return x.zeta in (0, 2) and x.m % 2 == 0
+    return lattice_test(g, se0_seed(g))(v.i, v.x)
 
 
 def _pi_index_mult(g1: AffineType, a: int) -> tuple[int, int]:
@@ -208,11 +189,11 @@ class LabeledQuiver:
         return 0
 
 
-def se_window(
+def _lattice_classes(
     g: AffineType, seeds: Sequence[SeVertex], power_bound: int
-) -> tuple[LabeledQuiver, tuple[SeVertex, ...]]:
-    """Finite piece of Se(g): all classes with |q-power| <= power_bound in the
-    seeds' parity lattices, with arrow multiplicities from zero orders."""
+) -> tuple[SeVertex, ...]:
+    """All classes with |q-power| <= power_bound in the seeds' parity lattices,
+    sorted by (index, q-power, zeta)."""
     tests = [lattice_test(g, s) for s in seeds]
     classes: set[SeVertex] = set()
     for j in g.index_set:
@@ -221,7 +202,15 @@ def se_window(
                 v = vertex_class(g, j, SpectralParam(zeta, m))
                 if any(t(v.i, v.x) for t in tests):
                     classes.add(v)
-    order = sorted(classes, key=lambda v: (v.i, v.x.m, v.x.zeta))
+    return tuple(sorted(classes, key=lambda v: (v.i, v.x.m, v.x.zeta)))
+
+
+def se_window(
+    g: AffineType, seeds: Sequence[SeVertex], power_bound: int
+) -> tuple[LabeledQuiver, tuple[SeVertex, ...]]:
+    """Finite piece of Se(g): all classes with |q-power| <= power_bound in the
+    seeds' parity lattices, with arrow multiplicities from zero orders."""
+    order = _lattice_classes(g, seeds, power_bound)
     verts = tuple((str(v), str(v)) for v in order)
     arrows = []
     for v in order:
@@ -231,19 +220,12 @@ def se_window(
             mult = class_arrow_mult(v, w)
             if mult:
                 arrows.append((str(v), str(w), mult))
-    return LabeledQuiver(verts, tuple(arrows)), tuple(order)
+    return LabeledQuiver(verts, tuple(arrows)), order
 
 
 def se0_window(g: AffineType, power_bound: int) -> tuple[SeVertex, ...]:
     """All Se0 classes with |q-power| <= power_bound, sorted."""
-    out = set()
-    for j in g.index_set:
-        for zeta in range(4):
-            for m in range(-power_bound, power_bound + 1):
-                v = vertex_class(g, j, SpectralParam(zeta, m))
-                if se0_contains(g, v.i, v.x):
-                    out.add(v)
-    return tuple(sorted(out, key=lambda v: (v.i, v.x.m, v.x.zeta)))
+    return _lattice_classes(g, [se0_seed(g)], power_bound)
 
 
 @dataclass(frozen=True)

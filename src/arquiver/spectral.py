@@ -78,21 +78,6 @@ class SpectralParam:
         """p if this equals (-q)^p, else None."""
         return self.m if self.zeta == 2 * self.m % 4 else None
 
-    def sort_key(self) -> tuple[int, int]:
-        return (self.m, self.zeta)
-
-
-def sp_mul(x: SpectralParam, y: SpectralParam) -> SpectralParam:
-    return x * y
-
-
-def sp_ratio(x: SpectralParam, y: SpectralParam) -> SpectralParam:
-    return x / y
-
-
-def sp_from_minus_q_power(p: int) -> SpectralParam:
-    return SpectralParam.minus_q_power(p)
-
 
 @dataclass(frozen=True, order=True)
 class AffineType:
@@ -228,9 +213,6 @@ class DenominatorZeros:
     @property
     def degree(self) -> int:
         return sum(mult for _, mult in self.roots)
-
-    def order_at(self, x: SpectralParam) -> int:
-        return denominator_roots_raw(self.g, self.k, self.l).get((x.zeta, x.m), 0)
 
 
 def denominator(g: AffineType, k: int, l: int) -> DenominatorZeros:

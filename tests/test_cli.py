@@ -154,6 +154,13 @@ def test_embed_pair_dual():
     assert res.stdout == '{"found":false,"reason":"dual pair"}\n'
 
 
+def test_import_leaves_verify_unloaded():
+    code = "import sys, arquiver, arquiver.cli; print('arquiver.verify' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_verify_single_check():
     res = run_cli("verify", "--check", "pole_class")
     assert res.returncode == 0

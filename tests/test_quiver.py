@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from arquiver import verify
 from arquiver.quiver import (
     ARData,
     DynkinQuiver,
@@ -124,6 +125,19 @@ def test_m_values_sum_to_root_count():
     for q in all_orientations(D4):
         ar = ar_quiver(q)
         assert sum(m + 1 for m in ar.m.values()) == D4.num_positive_roots()
+
+
+def test_m_values_match_the_verify_oracle():
+    types = [FiniteType("A", n) for n in range(2, 8)] + [FiniteType("D", n) for n in range(4, 8)]
+    for t in types:
+        for q in all_orientations(t):
+            assert ar_quiver(q).m == verify._m_table(q), q
+
+
+def test_ar_quiver_m_is_not_the_cached_table():
+    ar = ar_quiver(LIN3)
+    ar.m[1] += 5
+    assert ar_quiver(LIN3).m == {1: 2, 2: 1, 3: 0}
 
 
 def test_convex_order_agrees_with_path_order():

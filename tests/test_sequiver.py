@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arquiver.quiver import DynkinQuiver, ar_quiver
-from arquiver.rootsys import FiniteType, cartan_matrix
+from arquiver.rootsys import FiniteType, cartan_matrix, distance
 from arquiver.sequiver import (
     LabeledQuiver,
     SeVertex,
@@ -18,6 +18,7 @@ from arquiver.sequiver import (
     pi_preimages,
     schur_weyl_quiver,
     se0_contains,
+    se0_seed,
     se0_window,
     se_window,
     vertex_class,
@@ -57,6 +58,59 @@ def test_distinguished_component_membership():
     assert checks == [True, True, False, False]
     checks = [se0_contains(D2_5, 3, SpectralParam.parse(s)) for s in ("iq^0", "q^1", "q^0")]
     assert checks == [False, True, False]
+
+
+def _se0_closed_form(g: AffineType, i: int, x: SpectralParam) -> bool:
+    """Se0 membership case by case; the oracle for the parity-lattice form."""
+    v = vertex_class(g, i, x)
+    x = v.x
+    n = g.N
+    if g.twist == 1:
+        anchor = 1 if g.family == "A" else n - 1
+        e = x.minus_q_exponent()
+        return e is not None and e % 2 == distance(g.classical(), anchor, i) % 2
+    if g.family == "A":
+        if n % 2 == 0:
+            return x.minus_q_exponent() is not None
+        return x.zeta % 2 == 0 and x.m % 2 == (i + 1) % 2
+    if i <= n - 2:
+        if x.zeta == 1:
+            return x.m % 2 == 0 and (n - 1 - i) % 2 == 0
+        if x.zeta == 0:
+            return x.m % 2 == 1 and (n - 1 - i) % 2 == 1
+        return False
+    return x.zeta in (0, 2) and x.m % 2 == 0
+
+
+def _small_types(nmax: int) -> list[AffineType]:
+    return [
+        AffineType.from_code(code, n)
+        for code in ("A1", "A2", "D1", "D2")
+        for n in range(2 if code[0] == "A" else 4, nmax + 1)
+    ]
+
+
+def test_se0_membership_matches_closed_form():
+    # zeta runs over all of mu_4, so sign-quotient nodes are queried through
+    # both representatives of each class.
+    for g in _small_types(9):
+        bound = 4 * g.N
+        expected = set()
+        for i in g.index_set:
+            for zeta in range(4):
+                for m in range(-bound, bound + 1):
+                    x = SpectralParam(zeta, m)
+                    member = _se0_closed_form(g, i, x)
+                    assert se0_contains(g, i, x) == member, (g, i, x)
+                    if member:
+                        expected.add(vertex_class(g, i, x))
+        assert set(se0_window(g, bound)) == expected
+
+
+def test_se0_seed_spans_every_se0_class():
+    for g in _small_types(5):
+        bound = 2 * g.N
+        assert se_window(g, [se0_seed(g)], bound) == se_window(g, list(se0_window(g, bound)), bound)
 
 
 def test_fold_examples():
