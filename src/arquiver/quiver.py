@@ -67,12 +67,22 @@ def all_orientations(t: FiniteType) -> tuple[DynkinQuiver, ...]:
 
 
 def is_adapted(q: DynkinQuiver, word: Sequence[int]) -> bool:
-    """Replay the defining condition: each letter is a source when reflected at."""
-    cur = q
+    """Replay the defining condition: each letter is a source when reflected at.
+
+    Only in-degrees are tracked: reflecting at a source turns all of its
+    arrows inward and takes one incoming arrow from each neighbour.
+    """
+    t = q.ftype
+    indeg = {i: 0 for i in t.index_set}
+    for _, b in q.arrows:
+        indeg[b] += 1
     for letter in word:
-        if letter not in cur.sources():
+        if letter not in t.index_set or indeg[letter]:
             return False
-        cur = cur.reflect(letter)
+        nbrs = neighbors(t, letter)
+        indeg[letter] = len(nbrs)
+        for j in nbrs:
+            indeg[j] -= 1
     return True
 
 
@@ -81,8 +91,8 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
 
     ``target`` ``"coxeter"``: a full source sweep (each vertex once, greedy
     smallest index).  ``target`` ``"w0"``: the column reading of the AR quiver
-    from the top height downward, which is verified to be an adapted reduced
-    word for the longest element.
+    from the top height downward, verified once per quiver (in ``_tau_data``)
+    to be an adapted reduced word for the longest element.
     """
     t = q.ftype
     if target == "coxeter":
@@ -99,15 +109,7 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
         return out
     if target != "w0":
         raise ValueError(f"unknown target {target!r}")
-    xi = height_function(q)
-    m = _tau_data(q)[3]
-    columns = [(xi[i] - 2 * k, i) for i in t.index_set for k in range(m[i] + 1)]
-    out = tuple(i for _, i in sorted(columns, key=lambda ci: (-ci[0], ci[1])))
-    if not is_adapted(q, out):
-        raise AssertionError("column reading is not adapted to the orientation")
-    if set(root_sequence(t, out)) != positive_roots(t):
-        raise AssertionError("column reading is not a longest-element word")
-    return out
+    return _tau_data(q)[4]
 
 
 def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) -> dict[int, int]:
@@ -130,13 +132,18 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
     return dict(sorted(xi.items()))
 
 
-@lru_cache(maxsize=None)
+# Bounded: every caller reuses a quiver right away (within one computation,
+# one orientation loop or one CLI run), while sweeps over fresh orientations
+# would otherwise keep one entry per orientation alive.
+@lru_cache(maxsize=64)
 def _tau_data(
     q: DynkinQuiver,
-) -> tuple[tuple[int, ...], dict[Root, Root], dict[Root, Root], dict[int, int]]:
+) -> tuple[tuple[int, ...], dict[Root, Root], dict[Root, Root], dict[int, int], tuple[int, ...]]:
     """Adapted Coxeter word, its action (and inverse action) on positive roots,
-    and the AR-quiver row lengths m_i: how many times tau maps gamma_root(q, i)
-    to a positive root before the first negative image."""
+    the AR-quiver row lengths m_i (how many times tau maps gamma_root(q, i)
+    to a positive root before the first negative image), and the adapted
+    longest-element word: the column reading of the AR quiver, checked here
+    to be adapted and to represent w0."""
     t = q.ftype
     word = adapted_word(q, "coxeter")
     fwd = {}
@@ -152,7 +159,14 @@ def _tau_data(
             count += 1
             img = fwd[img]
         m[i] = count
-    return word, fwd, inv, m
+    xi = height_function(q)
+    columns = [(xi[i] - 2 * k, i) for i in t.index_set for k in range(m[i] + 1)]
+    w0 = tuple(i for _, i in sorted(columns, key=lambda ci: (-ci[0], ci[1])))
+    if not is_adapted(q, w0):
+        raise AssertionError("column reading is not adapted to the orientation")
+    if set(root_sequence(t, w0)) != positive_roots(t):
+        raise AssertionError("column reading is not a longest-element word")
+    return word, fwd, inv, m, w0
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
@@ -196,7 +210,7 @@ def phi(
     t = q.ftype
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
-    _, fwd, inv, _ = _tau_data(q)
+    fwd, inv = _tau_data(q)[1:3]
     table: dict[tuple[int, int], tuple[Root, int]] = {}
     for i in t.index_set:
         start = gamma_root(q, i)

@@ -7,6 +7,7 @@ derived data is cached aggressively.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -69,7 +70,10 @@ def _adjacency(t: FiniteType) -> dict[int, tuple[int, ...]]:
 
 
 def neighbors(t: FiniteType, i: int) -> tuple[int, ...]:
-    return _adjacency(t)[i]
+    try:
+        return _adjacency(t)[i]
+    except KeyError:
+        raise ValueError(f"vertex {i} not in the index set of {t}") from None
 
 
 @lru_cache(maxsize=None)
@@ -103,9 +107,10 @@ def simple_root(t: FiniteType, i: int) -> Root:
 
 
 def pairing(t: FiniteType, i: int, v: Root) -> int:
-    """Evaluation of the i-th simple coroot on v."""
-    row = cartan_matrix(t)[i - 1]
-    return sum(a * c for a, c in zip(row, v))
+    """Evaluation of the i-th simple coroot on v: 2 v_i minus v_j over the
+    neighbours j of i."""
+    nbrs = neighbors(t, i)
+    return 2 * v[i - 1] - sum(v[j - 1] for j in nbrs)
 
 
 def reflect(t: FiniteType, i: int, v: Root) -> Root:
@@ -157,13 +162,22 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     Raises ValueError if the word is not reduced (some beta_k fails to be a
     positive root).  For a longest-element word the result enumerates all
     positive roots in a convex total order.
+
+    Keeps the columns w(alpha_j) of the current prefix w, so beta_k is column
+    i_k; right multiplication by s_i negates column i and adds it to the
+    column of each neighbour of i.
     """
+    cols = {j: simple_root(t, j) for j in t.index_set}
     seq: list[Root] = []
-    for k, letter in enumerate(word):
-        v = apply_word(t, tuple(word[:k]), simple_root(t, letter))
-        if any(c < 0 for c in v):
-            raise ValueError(f"word is not reduced at position {k + 1}")
-        seq.append(v)
+    for k, letter in enumerate(word, start=1):
+        nbrs = neighbors(t, letter)
+        beta = cols[letter]
+        if min(beta) < 0:
+            raise ValueError(f"word is not reduced at position {k}")
+        seq.append(beta)
+        cols[letter] = tuple(-c for c in beta)
+        for j in nbrs:
+            cols[j] = add_roots(cols[j], beta)
     return tuple(seq)
 
 
@@ -193,11 +207,11 @@ def w0_involution(t: FiniteType) -> dict[int, int]:
 
 
 def add_roots(a: Root, b: Root) -> Root:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub_roots(a: Root, b: Root) -> Root:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def is_convex(t: FiniteType, order: Sequence[Root]) -> bool:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from arquiver import verify
+from arquiver import quiver, verify
+from arquiver.dorey import minimal_pair_triple
 from arquiver.quiver import (
     ARData,
     DynkinQuiver,
@@ -74,6 +75,56 @@ def test_adapted_longest_words_frozen():
 def test_adapted_word_rejects_unknown_target():
     with pytest.raises(ValueError):
         adapted_word(LIN3, "longest")
+
+
+@pytest.fixture
+def cold_tau_cache():
+    quiver._tau_data.cache_clear()
+    yield
+    quiver._tau_data.cache_clear()
+
+
+def test_w0_word_is_checked_once_per_quiver(monkeypatch, cold_tau_cache):
+    calls = []
+    true_is_adapted = quiver.is_adapted
+
+    def counting(q, word):
+        calls.append((q, tuple(word)))
+        return true_is_adapted(q, word)
+
+    monkeypatch.setattr(quiver, "is_adapted", counting)
+    q = all_orientations(D5)[11]
+    word = adapted_word(q, "w0")
+    for _ in range(3):
+        assert adapted_word(q, "w0") == word
+    ar = ar_quiver(q)
+    seq = root_sequence(D5, word)
+    triples = 0
+    for alpha in seq:
+        for pair in minimal_pairs(seq, alpha):
+            for t in (1, 2):
+                minimal_pair_triple(ar, alpha, pair, t)
+                triples += 1
+    assert triples > 0
+    assert calls == [(q, word)]
+
+
+def test_w0_word_check_still_fires_on_a_cold_call(monkeypatch, cold_tau_cache):
+    monkeypatch.setattr(quiver, "is_adapted", lambda q, word: False)
+    with pytest.raises(AssertionError, match="not adapted"):
+        adapted_word(LIN3, "w0")
+    with pytest.raises(AssertionError, match="not adapted"):
+        ar_quiver(BIP3)
+
+
+def test_tau_cache_stays_bounded(cold_tau_cache):
+    maxsize = quiver._tau_data.cache_info().maxsize
+    assert maxsize is not None
+    for n in (7, 8):
+        for q in all_orientations(FiniteType("D", n)):
+            adapted_word(q, "w0")
+            assert quiver._tau_data.cache_info().currsize <= maxsize
+    assert quiver._tau_data.cache_info().currsize == maxsize
 
 
 def test_height_function():
