@@ -15,10 +15,10 @@ from typing import Sequence
 from .rootsys import (
     FiniteType,
     Root,
-    apply_word,
     distance,
     neighbors,
     positive_roots,
+    represents_w0,
     root_sequence,
     sub_roots,
 )
@@ -40,10 +40,6 @@ class DynkinQuiver:
     def sources(self) -> frozenset[int]:
         targets = {b for _, b in self.arrows}
         return frozenset(i for i in self.ftype.index_set if i not in targets)
-
-    def sinks(self) -> frozenset[int]:
-        starts = {a for a, _ in self.arrows}
-        return frozenset(i for i in self.ftype.index_set if i not in starts)
 
     def reflect(self, i: int) -> DynkinQuiver:
         """Reverse every arrow incident to vertex i."""
@@ -109,7 +105,7 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
         return out
     if target != "w0":
         raise ValueError(f"unknown target {target!r}")
-    return _tau_data(q)[4]
+    return _tau_data(q)[1]
 
 
 def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) -> dict[int, int]:
@@ -132,45 +128,35 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
     return dict(sorted(xi.items()))
 
 
+def _tight_window(t: FiniteType, xi: dict[int, int]) -> tuple[int, int]:
+    """Heights from max xi down to at least one step below every row of
+    Gamma_Q: a row has at most rank vertices, the top one at xi_i."""
+    return (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
+
+
 # Bounded: every caller reuses a quiver right away (within one computation,
 # one orientation loop or one CLI run), while sweeps over fresh orientations
 # would otherwise keep one entry per orientation alive.
 @lru_cache(maxsize=64)
-def _tau_data(
-    q: DynkinQuiver,
-) -> tuple[tuple[int, ...], dict[Root, Root], dict[Root, Root], dict[int, int], tuple[int, ...]]:
-    """Adapted Coxeter word, its action (and inverse action) on positive roots,
-    the AR-quiver row lengths m_i (how many times tau maps gamma_root(q, i)
-    to a positive root before the first negative image), and the adapted
-    longest-element word: the column reading of the AR quiver, checked here
-    to be adapted and to represent w0."""
+def _tau_data(q: DynkinQuiver) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The AR-quiver row lengths m_i and the adapted longest-element word,
+    both read off the spin-0 slice of phi at height_function(q): row i of
+    Gamma_Q has m_i + 1 vertices, and the word is the column reading from the
+    top height downward, checked here to be adapted and to represent w0."""
     t = q.ftype
-    word = adapted_word(q, "coxeter")
-    fwd = {}
-    inv = {}
-    rev = tuple(reversed(word))
-    for r in positive_roots(t):
-        fwd[r] = apply_word(t, word, r)
-        inv[r] = apply_word(t, rev, r)
-    m = {}
-    for i in t.index_set:
-        count, img = 0, fwd[gamma_root(q, i)]
-        while all(c >= 0 for c in img):
-            count += 1
-            img = fwd[img]
-        m[i] = count
     xi = height_function(q)
-    columns = [(xi[i] - 2 * k, i) for i in t.index_set for k in range(m[i] + 1)]
-    w0 = tuple(i for _, i in sorted(columns, key=lambda ci: (-ci[0], ci[1])))
+    table = phi(q, xi, _tight_window(t, xi))
+    columns = sorted((-p, i) for (i, p), (_, spin) in table.items() if spin == 0)
+    w0 = tuple(i for _, i in columns)
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
-    if set(root_sequence(t, w0)) != positive_roots(t):
+    if not represents_w0(t, w0):
         raise AssertionError("column reading is not a longest-element word")
-    return word, fwd, inv, m, w0
+    return {i: w0.count(i) - 1 for i in t.index_set}, w0
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
-    return _tau_data(q)[0]
+    return adapted_word(q, "coxeter")
 
 
 def gamma_root(q: DynkinQuiver, i: int) -> Root:
@@ -192,45 +178,42 @@ def gamma_root(q: DynkinQuiver, i: int) -> Root:
     return tuple(1 if v in seen else 0 for v in t.index_set)
 
 
-def _neg(v: Root) -> Root:
-    return tuple(-c for c in v)
-
-
 def phi(
     q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]
 ) -> dict[tuple[int, int], tuple[Root, int]]:
     """Coordinate table (i, p) -> (positive root, spin) on a height window.
 
     Defined on repetition-quiver vertices: p in [lo, hi] with p = xi_i mod 2.
-    Row i starts from (gamma_root(q, i), 0) at p = xi_i; stepping down applies
-    the Coxeter transformation tau and decrements the spin whenever the image
-    turns negative, stepping up applies tau^{-1} and increments it.
+    Signed labels are knitted from v(i, xi_i) = gamma_root(q, i) by the mesh
+    relation v(i, p - 2) = sum over j ~ i of v(j, p - 1) - v(i, p), downward,
+    and by its mirror upward.  Each entry is (|v|, spin); along a row the spin
+    moves by one at each sign change, -1 going down and +1 going up.
     """
     lo, hi = window
     t = q.ftype
+    if set(xi) != set(t.index_set):
+        raise ValueError("height function must be defined on exactly the index set")
+    for a, b in q.arrows:
+        if xi[a] != xi[b] + 1:
+            raise ValueError(f"height function breaks xi_{a} = xi_{b} + 1 on the arrow {a} -> {b}")
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
-    fwd, inv = _tau_data(q)[1:3]
-    table: dict[tuple[int, int], tuple[Root, int]] = {}
-    for i in t.index_set:
-        start = gamma_root(q, i)
-        table[(i, xi[i])] = (start, 0)
-        root, m = start, 0
-        p = xi[i]
-        while p - 2 >= lo:
-            img = fwd[root]
-            if any(c < 0 for c in img):
-                img, m = _neg(img), m - 1
-            root, p = img, p - 2
-            table[(i, p)] = (root, m)
-        root, m = start, 0
-        p = xi[i]
-        while p + 2 <= hi:
-            img = inv[root]
-            if any(c < 0 for c in img):
-                img, m = _neg(img), m + 1
-            root, p = img, p + 2
-            table[(i, p)] = (root, m)
+    signed = {(i, xi[i]): gamma_root(q, i) for i in t.index_set}
+    table = {key: (v, 0) for key, v in signed.items()}
+    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
+        for p in range(start + d, stop + d, d):
+            for i in t.index_set:
+                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
+                    continue
+                back = (i, p - 2 * d)
+                prev = signed[back]
+                mesh = [signed[(j, p - d)] for j in neighbors(t, i)]
+                v = tuple(sum(cs) - c for *cs, c in zip(*mesh, prev))
+                spin = table[back][1]
+                if (min(v) < 0) != (min(prev) < 0):
+                    spin += d
+                signed[(i, p)] = v
+                table[(i, p)] = (tuple(-c for c in v) if min(v) < 0 else v, spin)
     return table
 
 
@@ -248,18 +231,13 @@ class ARData:
     m: dict[int, int]
 
 
-def ar_quiver(
-    q: DynkinQuiver,
-    xi: dict[int, int] | None = None,
-    window: tuple[int, int] | None = None,
-) -> ARData:
-    """Build the AR quiver Gamma_Q (the spin-0 slice of the phi table)."""
+def ar_quiver(q: DynkinQuiver, xi: dict[int, int] | None = None) -> ARData:
+    """Build the AR quiver Gamma_Q (the spin-0 slice of the phi table) on
+    the tight window of xi."""
     t = q.ftype
     if xi is None:
         xi = height_function(q)
-    if window is None:
-        pad = 2 * t.rank * 4
-        window = (min(xi.values()) - pad, max(xi.values()) + pad)
+    window = _tight_window(t, xi)
     table = phi(q, xi, window)
     inv: dict[tuple[Root, int], tuple[int, int]] = {}
     for vertex, key in table.items():
@@ -282,7 +260,7 @@ def ar_quiver(
         phi_inv=inv,
         gamma_vertices=gamma,
         gamma_arrows=tuple(sorted(arrows)),
-        m=dict(_tau_data(q)[3]),
+        m=dict(_tau_data(q)[0]),
     )
 
 
@@ -292,9 +270,6 @@ class ConvexPartialOrder:
 
     roots: tuple[Root, ...]
     pairs: frozenset[tuple[Root, Root]]
-
-    def leq(self, beta: Root, gamma: Root) -> bool:
-        return (beta, gamma) in self.pairs
 
 
 def convex_order_Q(ar: ARData) -> ConvexPartialOrder:

@@ -141,14 +141,6 @@ def positive_roots(t: FiniteType) -> frozenset[Root]:
     return frozenset(found)
 
 
-def sorted_positive_roots(t: FiniteType) -> tuple[Root, ...]:
-    return tuple(sorted(positive_roots(t)))
-
-
-def root_height(v: Root) -> int:
-    return sum(v)
-
-
 def apply_word(t: FiniteType, word: Sequence[int], v: Root) -> Root:
     """Apply the product s_{word[0]} s_{word[1]} ... to v (rightmost acts first)."""
     for letter in reversed(word):

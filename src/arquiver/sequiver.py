@@ -182,12 +182,6 @@ class LabeledQuiver:
                 raise ValueError(f"2-cycle between {src} and {dst}")
             seen.add((src, dst))
 
-    def multiplicity(self, src: str, dst: str) -> int:
-        for a, b, mult in self.arrows:
-            if (a, b) == (src, dst):
-                return mult
-        return 0
-
 
 def _lattice_classes(
     g: AffineType, seeds: Sequence[SeVertex], power_bound: int

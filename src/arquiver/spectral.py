@@ -34,10 +34,6 @@ class SpectralParam:
         return cls(0, 0)
 
     @classmethod
-    def q_power(cls, m: int) -> SpectralParam:
-        return cls(0, m)
-
-    @classmethod
     def minus_q_power(cls, p: int) -> SpectralParam:
         """(-q)^p = (-1)^p q^p."""
         return cls(2 * p, p)

@@ -67,14 +67,6 @@ def _twisted_types(nmax: int) -> list[AffineType]:
     return out
 
 
-def _tight_ar(q: DynkinQuiver, xi: dict[int, int] | None = None):
-    """AR data on a window just wide enough for the spin-0 slice."""
-    if xi is None:
-        xi = height_function(q)
-    lo = min(xi.values()) - 2 * q.ftype.rank - 2
-    return ar_quiver(q, xi, (lo, max(xi.values())))
-
-
 def _mq(e: int) -> tuple[int, int]:
     return (2 * e % 4, e)
 
@@ -86,7 +78,7 @@ def _check_se_j_equals_qrev() -> str | None:
             expected = {(str(b), str(a)) for a, b in q.arrows}
             for base_vertex, base_value in [(v, 0) for v in t.index_set] + [(1, 1)]:
                 xi = height_function(q, base_vertex, base_value)
-                ar = _tight_ar(q, xi)
+                ar = ar_quiver(q, xi)
                 for tw in (1, 2):
                     sw = schur_weyl_quiver(ar, tw)
                     got = {(a, b) for a, b, _ in sw.quiver.arrows}
@@ -220,7 +212,7 @@ def _check_m_values() -> str | None:
 def _check_order_eq_paths() -> str | None:
     for t in _classical_types(7):
         for q in all_orientations(t):
-            ar = _tight_ar(q)
+            ar = ar_quiver(q)
             if convex_order_Q(ar).pairs != gamma_path_order(ar).pairs:
                 return f"{t.family}{t.rank} {q.arrows}: coordinate and path orders differ"
     return None
@@ -236,7 +228,7 @@ def _check_adapted_refines() -> str | None:
             if not is_convex(t, seq):
                 return f"{t.family}{t.rank} {q.arrows}: adapted total order is not convex"
             pos = {r: k for k, r in enumerate(seq)}
-            for beta, gamma in convex_order_Q(_tight_ar(q)).pairs:
+            for beta, gamma in convex_order_Q(ar_quiver(q)).pairs:
                 if pos[beta] > pos[gamma]:
                     return (
                         f"{t.family}{t.rank} {q.arrows}: adapted order places "
@@ -359,7 +351,7 @@ def _check_minimal_pairs_dorey() -> str | None:
     for t in _classical_types(6):
         allowed = {"A-i", "A-ii"} if t.family == "A" else {"D-i", "D-iii"}
         for q in all_orientations(t):
-            ar = _tight_ar(q)
+            ar = ar_quiver(q)
             order = root_sequence(t, adapted_word(q, "w0"))
             for alpha in order:
                 for pair in minimal_pairs(order, alpha):

@@ -1,17 +1,28 @@
-"""Differential tests: the incremental ``root_sequence`` and the in-degree
-``is_adapted`` against the slow replays they replaced, kept here as oracles."""
+"""Differential tests: the incremental ``root_sequence``, the in-degree
+``is_adapted`` and the knitted ``phi`` against the slow paths they replaced,
+kept here as oracles."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arquiver.quiver import DynkinQuiver, adapted_word, all_orientations, is_adapted
+from arquiver.quiver import (
+    DynkinQuiver,
+    adapted_word,
+    all_orientations,
+    ar_quiver,
+    gamma_root,
+    height_function,
+    is_adapted,
+    phi,
+)
 from arquiver.rootsys import (
     FiniteType,
     apply_word,
     cartan_matrix,
     pairing,
+    positive_roots,
     reflect,
     root_sequence,
     simple_root,
@@ -52,6 +63,50 @@ def is_adapted_oracle(q: DynkinQuiver, word) -> bool:
             return False
         cur = cur.reflect(letter)
     return True
+
+
+def phi_oracle(q: DynkinQuiver, xi, window):
+    """Coxeter path: walk each row from (gamma_root(q, i), 0) at xi_i with
+    tables of the adapted Coxeter word (down) and its inverse (up) on the
+    positive roots, negating and moving the spin when an image turns negative."""
+    t = q.ftype
+    word = adapted_word(q, "coxeter")
+    tables = (
+        (-2, {r: apply_word(t, word, r) for r in positive_roots(t)}),
+        (2, {r: apply_word(t, word[::-1], r) for r in positive_roots(t)}),
+    )
+    lo, hi = window
+    table = {}
+    for i in t.index_set:
+        table[(i, xi[i])] = (gamma_root(q, i), 0)
+        for step, act in tables:
+            root, spin, p = gamma_root(q, i), 0, xi[i] + step
+            while lo <= p <= hi:
+                root = act[root]
+                if min(root) < 0:
+                    root, spin = tuple(-c for c in root), spin + step // 2
+                table[(i, p)] = (root, spin)
+                p += step
+    return table
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_knitted_phi_matches_the_coxeter_path(t):
+    """Every orientation, two bases, the old padded window and the tight one."""
+    n = t.rank
+    for q in all_orientations(t):
+        for base in ((1, 0), (n, 3)):
+            xi = height_function(q, *base)
+            lo, hi = min(xi.values()), max(xi.values())
+            padded = phi_oracle(q, xi, (lo - 8 * n, hi + 8 * n))
+            assert len(set(padded.values())) == len(padded), (q, base)
+            assert phi(q, xi, (lo - 8 * n, hi + 8 * n)) == padded, (q, base)
+            tight = phi_oracle(q, xi, (lo - 2 * n - 2, hi))
+            assert phi(q, xi, (lo - 2 * n - 2, hi)) == tight, (q, base)
+            gamma = {v for v, (_, spin) in tight.items() if spin == 0}
+            ar = ar_quiver(q, xi)
+            assert ar.gamma_vertices == gamma, (q, base)
+            assert ar.m == {i: sum(j == i for j, _ in gamma) - 1 for i in t.index_set}, (q, base)
 
 
 def _outcome(f, *args):

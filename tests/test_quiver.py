@@ -20,6 +20,7 @@ from arquiver.quiver import (
     height_function,
     is_adapted,
     minimal_pairs,
+    phi,
 )
 from arquiver.rootsys import (
     FiniteType,
@@ -53,7 +54,6 @@ def test_bad_orientation_rejected():
 
 def test_sources_sinks_reflect():
     assert LIN3.sources() == frozenset({1})
-    assert LIN3.sinks() == frozenset({3})
     assert BIP3.sources() == frozenset({2})
     assert LIN3.reflect(1).arrows == ((2, 1), (2, 3))
     assert LIN3.reflect(1).reflect(1) == LIN3
@@ -148,6 +148,22 @@ def test_ar_quiver_a2_frozen():
     assert ar.phi_inv[((0, 1), 0)] == (1, -1)
 
 
+@pytest.mark.parametrize(
+    "xi, message",
+    [
+        ({1: 0, 2: 0, 3: 0}, "xi_1 = xi_2 \\+ 1"),
+        (height_function(REV3), "xi_1 = xi_2 \\+ 1"),
+        ({1: 0, 2: -1}, "exactly the index set"),
+    ],
+    ids=["constant", "reversed", "missing-vertex"],
+)
+def test_phi_and_ar_quiver_reject_a_non_height_function(xi, message):
+    with pytest.raises(ValueError, match=message):
+        phi(LIN3, xi, (-10, 10))
+    with pytest.raises(ValueError, match=message):
+        ar_quiver(LIN3, xi)
+
+
 def test_ar_slice_has_one_vertex_per_root():
     for q in (LIN3, REV3, BIP3):
         ar = ar_quiver(q)
@@ -197,7 +213,7 @@ def test_convex_order_agrees_with_path_order():
         co, gp = convex_order_Q(ar), gamma_path_order(ar)
         for a in co.roots:
             for b in co.roots:
-                assert co.leq(a, b) == gp.leq(a, b)
+                assert ((a, b) in co.pairs) == ((a, b) in gp.pairs)
 
 
 def test_adapted_word_order_refines_quiver_order():
@@ -207,7 +223,7 @@ def test_adapted_word_order_refines_quiver_order():
         co = convex_order_Q(ar_quiver(q))
         for a in co.roots:
             for b in co.roots:
-                if a != b and co.leq(a, b):
+                if a != b and (a, b) in co.pairs:
                     assert pos[a] <= pos[b]
 
 

@@ -43,8 +43,8 @@ def test_parse_accepts_both_notations():
 def test_minus_q_powers():
     assert SpectralParam.minus_q_power(3) == SpectralParam(2, 3)
     assert SpectralParam.minus_q_power(3).minus_q_exponent() == 3
-    assert SpectralParam.q_power(3).minus_q_exponent() is None
-    assert SpectralParam.q_power(2).minus_q_exponent() == 2
+    assert SpectralParam(0, 3).minus_q_exponent() is None
+    assert SpectralParam(0, 2).minus_q_exponent() == 2
 
 
 def test_affine_type_codes_and_index_sets():
