@@ -8,14 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quiver import (
-    ARData,
-    DynkinQuiver,
-    adapted_word,
-    all_orientations,
-    ar_quiver,
-    minimal_pairs,
-)
+from .quiver import ARData, DynkinQuiver, _orientation, adapted_word, ar_quiver, minimal_pairs
 from .rootsys import FiniteType, Root, root_sequence
 from .spectral import (
     AffineType,
@@ -201,26 +194,15 @@ def _ar_cached(q: DynkinQuiver) -> ARData:
 
 
 def _search_orientations(t: FiniteType) -> tuple[DynkinQuiver, ...]:
-    """All orientations, with the monotone/balanced ones tried first."""
-
-    def preferred(q: DynkinQuiver) -> bool:
-        arrows = set(q.arrows)
-        chain_top = t.rank if t.family == "A" else t.rank - 2
-        fwd = all((i, i + 1) in arrows for i in range(1, chain_top))
-        bwd = all((i + 1, i) in arrows for i in range(1, chain_top))
-        if not (fwd or bwd):
-            return False
-        if t.family == "A":
-            return True
-        hub = t.rank - 2
-        forks_in = (t.rank - 1, hub) in arrows and (t.rank, hub) in arrows
-        forks_out = (hub, t.rank - 1) in arrows and (hub, t.rank) in arrows
-        return forks_in or forks_out
-
-    quivers = all_orientations(t)
-    return tuple(q for q in quivers if preferred(q)) + tuple(
-        q for q in quivers if not preferred(q)
-    )
+    """The monotone orientations, in all_orientations order: the chain
+    1-2-... forward, then backward (A); for D, each of those with both fork
+    arrows out of the hub or both into it."""
+    if t.family == "A":
+        masks = (0, (1 << (t.rank - 1)) - 1)
+    else:
+        c = t.rank - 3  # chain edges; the two fork edges come last
+        masks = (0, (1 << c) - 1, 3 << c, (1 << (c + 2)) - 1)
+    return tuple(_orientation(t, mask) for mask in masks)
 
 
 def embed_pair_in_AR(g1: AffineType, v: SeVertex, w: SeVertex) -> EmbedResult:

@@ -50,16 +50,15 @@ class DynkinQuiver:
         return DynkinQuiver(self.ftype, tuple((b, a) for a, b in self.arrows))
 
 
+def _orientation(t: FiniteType, mask: int) -> DynkinQuiver:
+    """The orientation reversing edge k of ``t.edges()`` iff bit k of mask is set."""
+    arrows = tuple((b, a) if mask >> k & 1 else (a, b) for k, (a, b) in enumerate(t.edges()))
+    return DynkinQuiver(t, arrows)
+
+
 def all_orientations(t: FiniteType) -> tuple[DynkinQuiver, ...]:
-    """Every orientation of the diagram, in a fixed deterministic order."""
-    edges = t.edges()
-    out = []
-    for mask in range(1 << len(edges)):
-        arrows = tuple(
-            (b, a) if mask >> k & 1 else (a, b) for k, (a, b) in enumerate(edges)
-        )
-        out.append(DynkinQuiver(t, arrows))
-    return tuple(out)
+    """Every orientation of the diagram, in increasing mask order."""
+    return tuple(_orientation(t, mask) for mask in range(1 << len(t.edges())))
 
 
 def is_adapted(q: DynkinQuiver, word: Sequence[int]) -> bool:
@@ -136,23 +135,35 @@ def _tight_window(t: FiniteType, xi: dict[int, int]) -> tuple[int, int]:
 
 # Bounded: every caller reuses a quiver right away (within one computation,
 # one orientation loop or one CLI run), while sweeps over fresh orientations
-# would otherwise keep one entry per orientation alive.
-@lru_cache(maxsize=64)
-def _tau_data(q: DynkinQuiver) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The AR-quiver row lengths m_i and the adapted longest-element word,
-    both read off the spin-0 slice of phi at height_function(q): row i of
-    Gamma_Q has m_i + 1 vertices, and the word is the column reading from the
-    top height downward, checked here to be adapted and to represent w0."""
+# would otherwise keep one entry per orientation alive.  Each entry holds a
+# whole Gamma_Q table, so the bound is small: at 64 entries the benchmark's
+# peak RSS grew by about a fifth.
+@lru_cache(maxsize=8)
+def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...]]:
+    """Gamma_Q at height_function(q), and its column reading from the top
+    height downward: the adapted w0 word, checked here once per quiver."""
     t = q.ftype
     xi = height_function(q)
-    table = phi(q, xi, _tight_window(t, xi))
-    columns = sorted((-p, i) for (i, p), (_, spin) in table.items() if spin == 0)
-    w0 = tuple(i for _, i in columns)
+    window = _tight_window(t, xi)
+    table = phi(q, xi, window)
+    inv: dict[tuple[Root, int], tuple[int, int]] = {}
+    for vertex, key in table.items():
+        if key in inv:
+            raise AssertionError(f"phi is not injective on the window at {key}")
+        inv[key] = vertex
+    gamma = frozenset(v for v, (_, spin) in table.items() if spin == 0)
+    if len(gamma) != t.num_positive_roots():
+        raise AssertionError("spin-0 slice does not match the positive roots")
+    w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
     if not represents_w0(t, w0):
         raise AssertionError("column reading is not a longest-element word")
-    return {i: w0.count(i) - 1 for i in t.index_set}, w0
+    arrows = sorted(
+        ((i, p), (j, p + 1)) for i, p in gamma for j in neighbors(t, i) if (j, p + 1) in gamma
+    )
+    m = {i: w0.count(i) - 1 for i in t.index_set}  # row i of Gamma_Q has m_i + 1 vertices
+    return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
@@ -178,6 +189,14 @@ def gamma_root(q: DynkinQuiver, i: int) -> Root:
     return tuple(1 if v in seen else 0 for v in t.index_set)
 
 
+def _check_height(q: DynkinQuiver, xi: dict[int, int]) -> None:
+    if set(xi) != set(q.ftype.index_set):
+        raise ValueError("height function must be defined on exactly the index set")
+    for a, b in q.arrows:
+        if xi[a] != xi[b] + 1:
+            raise ValueError(f"height function breaks xi_{a} = xi_{b} + 1 on the arrow {a} -> {b}")
+
+
 def phi(
     q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]
 ) -> dict[tuple[int, int], tuple[Root, int]]:
@@ -191,11 +210,7 @@ def phi(
     """
     lo, hi = window
     t = q.ftype
-    if set(xi) != set(t.index_set):
-        raise ValueError("height function must be defined on exactly the index set")
-    for a, b in q.arrows:
-        if xi[a] != xi[b] + 1:
-            raise ValueError(f"height function breaks xi_{a} = xi_{b} + 1 on the arrow {a} -> {b}")
+    _check_height(q, xi)
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
     signed = {(i, xi[i]): gamma_root(q, i) for i in t.index_set}
@@ -232,35 +247,24 @@ class ARData:
 
 
 def ar_quiver(q: DynkinQuiver, xi: dict[int, int] | None = None) -> ARData:
-    """Build the AR quiver Gamma_Q (the spin-0 slice of the phi table) on
-    the tight window of xi."""
-    t = q.ftype
-    if xi is None:
-        xi = height_function(q)
-    window = _tight_window(t, xi)
-    table = phi(q, xi, window)
-    inv: dict[tuple[Root, int], tuple[int, int]] = {}
-    for vertex, key in table.items():
-        if key in inv:
-            raise AssertionError(f"phi is not injective on the window at {key}")
-        inv[key] = vertex
-    gamma = frozenset(v for v, (_, m) in table.items() if m == 0)
-    if len(gamma) != t.num_positive_roots():
-        raise AssertionError("spin-0 slice does not match the positive roots")
-    arrows = []
-    for (i, p) in sorted(gamma):
-        for j in neighbors(t, i):
-            if (j, p + 1) in gamma:
-                arrows.append(((i, p), (j, p + 1)))
+    """The AR quiver Gamma_Q (the spin-0 slice of the phi table) on the tight
+    window of xi: the cached one at height_function(q), translated by the
+    constant xi - height_function(q), in fresh containers."""
+    base = _tau_data(q)[0]
+    d = 0
+    if xi is not None:
+        _check_height(q, xi)
+        d = xi[1] - base.height[1]
+    lo, hi = base.window
     return ARData(
         quiver=q,
-        height=dict(xi),
-        window=window,
-        phi=table,
-        phi_inv=inv,
-        gamma_vertices=gamma,
-        gamma_arrows=tuple(sorted(arrows)),
-        m=dict(_tau_data(q)[0]),
+        height={i: h + d for i, h in base.height.items()},
+        window=(lo + d, hi + d),
+        phi={(i, p + d): key for (i, p), key in base.phi.items()},
+        phi_inv={key: (i, p + d) for key, (i, p) in base.phi_inv.items()},
+        gamma_vertices=frozenset((i, p + d) for i, p in base.gamma_vertices),
+        gamma_arrows=tuple(((i, p + d), (j, r + d)) for (i, p), (j, r) in base.gamma_arrows),
+        m=dict(base.m),
     )
 
 

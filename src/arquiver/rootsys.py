@@ -10,6 +10,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 Root = tuple[int, ...]
@@ -183,19 +184,19 @@ def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def w0_involution(t: FiniteType) -> dict[int, int]:
-    """The diagram involution i -> i* induced by the longest element.
+def w0_involution(t: FiniteType) -> MappingProxyType[int, int]:
+    """The diagram involution i -> i* induced by the longest element (read-only).
 
     A_N: i* = N+1-i.  D_N: swaps the fork nodes when N is odd, identity when
     N is even.
     """
     n = t.rank
     if t.family == "A":
-        return {i: n + 1 - i for i in t.index_set}
+        return MappingProxyType({i: n + 1 - i for i in t.index_set})
     out = {i: i for i in t.index_set}
     if n % 2 == 1:
         out[n - 1], out[n] = n, n - 1
-    return out
+    return MappingProxyType(out)
 
 
 def add_roots(a: Root, b: Root) -> Root:

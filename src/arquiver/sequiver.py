@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from .quiver import ARData
 from .rootsys import distance, simple_root
-from .spectral import AffineType, SpectralParam, zero_order
+from .spectral import AffineType, SpectralParam, denominator_roots_raw, zero_order
 
 
 def has_sign_quotient(g: AffineType, i: int) -> bool:
@@ -188,6 +188,8 @@ def _lattice_classes(
 ) -> tuple[SeVertex, ...]:
     """All classes with |q-power| <= power_bound in the seeds' parity lattices,
     sorted by (index, q-power, zeta)."""
+    if power_bound < 0:
+        raise ValueError(f"power bound must be non-negative, got {power_bound}")
     tests = [lattice_test(g, s) for s in seeds]
     classes: set[SeVertex] = set()
     for j in g.index_set:
@@ -203,17 +205,21 @@ def se_window(
     g: AffineType, seeds: Sequence[SeVertex], power_bound: int
 ) -> tuple[LabeledQuiver, tuple[SeVertex, ...]]:
     """Finite piece of Se(g): all classes with |q-power| <= power_bound in the
-    seeds' parity lattices, with arrow multiplicities from zero orders."""
+    seeds' parity lattices, with arrow multiplicities from zero orders.  The
+    arrows out of (i, x) go to the classes (j, x * r), r a zero of d_{i,j}."""
     order = _lattice_classes(g, seeds, power_bound)
+    pos = {v: n for n, v in enumerate(order)}
     verts = tuple((str(v), str(v)) for v in order)
     arrows = []
     for v in order:
-        for w in order:
-            if v is w:
-                continue
-            mult = class_arrow_mult(v, w)
-            if mult:
-                arrows.append((str(v), str(w), mult))
+        heads = {
+            vertex_class(g, j, v.x * SpectralParam(zeta, m))
+            for j in g.index_set
+            for zeta, m in denominator_roots_raw(g, v.i, j)
+        }
+        heads.discard(v)
+        for w in sorted(heads & pos.keys(), key=pos.__getitem__):
+            arrows.append((str(v), str(w), class_arrow_mult(v, w)))
     return LabeledQuiver(verts, tuple(arrows)), order
 
 

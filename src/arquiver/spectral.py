@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .rootsys import FiniteType
 
@@ -136,8 +137,9 @@ def _add(roots: dict[tuple[int, int], int], zeta: int, m: int) -> None:
 @lru_cache(maxsize=None)
 def _denominator_data(
     g: AffineType, k: int, l: int
-) -> tuple[tuple[str, ...], dict[tuple[int, int], int]]:
-    """Factor strings and raw root multiset for sorted indices k <= l."""
+) -> tuple[tuple[str, ...], MappingProxyType[tuple[int, int], int]]:
+    """Factor strings and a read-only view of the raw root multiset, for
+    sorted indices k <= l; the view keeps callers from editing the cache."""
     n = g.N
     factors: list[str] = []
     roots: dict[tuple[int, int], int] = {}
@@ -187,11 +189,13 @@ def _denominator_data(
             for s in range(1, n):
                 factors.append(f"z+(-q^2)^{s}")
                 _add(roots, 2 * s + 2, 2 * s)
-    return tuple(factors), roots
+    return tuple(factors), MappingProxyType(roots)
 
 
-def denominator_roots_raw(g: AffineType, k: int, l: int) -> dict[tuple[int, int], int]:
-    """Root multiset of d_{k,l} as raw (zeta, m) keys; symmetric in k, l."""
+def denominator_roots_raw(
+    g: AffineType, k: int, l: int
+) -> MappingProxyType[tuple[int, int], int]:
+    """Read-only root multiset of d_{k,l} as raw (zeta, m) keys; symmetric in k, l."""
     _check_indices(g, k, l)
     return _denominator_data(g, min(k, l), max(k, l))[1]
 

@@ -108,6 +108,13 @@ def test_se_quiver_distinguished_component():
     assert payload["vertices"]
 
 
+def test_se_quiver_rejects_a_negative_bound():
+    res = run_cli("se-quiver", "--g", "A1", "--n", "3", "--se0", "--bound", "-1")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: power bound must be non-negative, got -1")
+
+
 def test_schur_weyl():
     res = run_cli("schur-weyl", "--type", "A", "--rank", "2", "--orientation", "1>2",
                   "--t", "1")

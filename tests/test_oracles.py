@@ -1,8 +1,12 @@
 """Differential tests: the incremental ``root_sequence``, the in-degree
-``is_adapted`` and the knitted ``phi`` against the slow paths they replaced,
+``is_adapted``, the knitted ``phi``, the monotone-orientation embedding search
+and the denominator-zero ``se_window`` against the slow paths they replaced,
 kept here as oracles."""
 
 from __future__ import annotations
+
+import importlib
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +31,18 @@ from arquiver.rootsys import (
     root_sequence,
     simple_root,
 )
+from arquiver.sequiver import (
+    LabeledQuiver,
+    _lattice_classes,
+    class_arrow_mult,
+    se0_seed,
+    se_window,
+    vertex_class,
+)
+from arquiver.spectral import AffineType, SpectralParam
+
+# The package exports the function ``dorey``, which shadows the module.
+dorey = importlib.import_module("arquiver.dorey")
 
 A3 = FiniteType("A", 3)
 TYPES = tuple(FiniteType("A", n) for n in range(2, 9)) + tuple(
@@ -105,6 +121,8 @@ def test_knitted_phi_matches_the_coxeter_path(t):
             assert phi(q, xi, (lo - 2 * n - 2, hi)) == tight, (q, base)
             gamma = {v for v, (_, spin) in tight.items() if spin == 0}
             ar = ar_quiver(q, xi)
+            assert (ar.height, ar.window, ar.phi) == (xi, (lo - 2 * n - 2, hi), tight), (q, base)
+            assert ar.phi_inv == {key: v for v, key in tight.items()}, (q, base)
             assert ar.gamma_vertices == gamma, (q, base)
             assert ar.m == {i: sum(j == i for j, _ in gamma) - 1 for i in t.index_set}, (q, base)
 
@@ -200,3 +218,91 @@ def test_is_adapted_rejects_vertices_outside_the_index_set(i):
         assert not is_adapted(q, (i,))
         source = min(q.sources())
         assert not is_adapted(q, (source, i))
+
+
+@cache
+def search_orientations_oracle(t: FiniteType) -> tuple[DynkinQuiver, ...]:
+    """Every orientation, the monotone/balanced ones first."""
+
+    def preferred(q: DynkinQuiver) -> bool:
+        arrows = set(q.arrows)
+        chain_top = t.rank if t.family == "A" else t.rank - 2
+        fwd = all((i, i + 1) in arrows for i in range(1, chain_top))
+        bwd = all((i + 1, i) in arrows for i in range(1, chain_top))
+        if not (fwd or bwd):
+            return False
+        if t.family == "A":
+            return True
+        hub = t.rank - 2
+        forks_in = (t.rank - 1, hub) in arrows and (t.rank, hub) in arrows
+        forks_out = (hub, t.rank - 1) in arrows and (hub, t.rank) in arrows
+        return forks_in or forks_out
+
+    quivers = all_orientations(t)
+    return tuple(q for q in quivers if preferred(q)) + tuple(
+        q for q in quivers if not preferred(q)
+    )
+
+
+def _embed_outcome(g1, v, w):
+    try:
+        return dorey.embed_pair_in_AR(g1, v, w)
+    except AssertionError as exc:
+        return ("AssertionError", str(exc))
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_monotone_embedding_matches_the_full_scan(t, monkeypatch):
+    """Every (i, j, e) with w/v = (-q)^e over the zero range and two steps
+    past it on both sides (dual and non-adjacent pairs included), plus one
+    ratio that is no power of -q."""
+    g1 = AffineType(t.family, 1, t.rank)
+    h = t.rank + 1 if t.family == "A" else 2 * t.rank - 2
+    one = SpectralParam.one()
+    cases = []
+    for i in t.index_set:
+        for j in t.index_set:
+            params = [SpectralParam.minus_q_power(e) for e in range(-h - 2, h + 3)]
+            for x in params + [SpectralParam(1, 1)]:
+                cases.append((vertex_class(g1, i, one), vertex_class(g1, j, x)))
+    fast = [_embed_outcome(g1, v, w) for v, w in cases]
+    monkeypatch.setattr(dorey, "_search_orientations", search_orientations_oracle)
+    slow = [_embed_outcome(g1, v, w) for v, w in cases]
+    assert fast == slow
+    assert any(r.found for r in fast)
+
+
+def se_window_oracle(g, seeds, power_bound):
+    """Score every ordered pair of window classes."""
+    order = _lattice_classes(g, seeds, power_bound)
+    verts = tuple((str(v), str(v)) for v in order)
+    arrows = []
+    for v in order:
+        for w in order:
+            if v is w:
+                continue
+            mult = class_arrow_mult(v, w)
+            if mult:
+                arrows.append((str(v), str(w), mult))
+    return LabeledQuiver(verts, tuple(arrows)), order
+
+
+SE_TYPES = tuple(
+    AffineType(family, twist, n)
+    for family, low in (("A", 2), ("D", 4))
+    for twist in (1, 2)
+    for n in range(low, 9)
+)
+
+
+@pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")
+def test_se_window_matches_the_pairwise_scan(g):
+    top = g.index_set[-1]
+    seed_sets = (
+        [se0_seed(g)],
+        [vertex_class(g, top, SpectralParam(0, 1))],
+        [vertex_class(g, top, SpectralParam(0, 1)), vertex_class(g, 1, SpectralParam(1, 0))],
+    )
+    for seeds in seed_sets:
+        for bound in (0, 3, 2 * g.N):
+            assert se_window(g, seeds, bound) == se_window_oracle(g, seeds, bound), (seeds, bound)

@@ -204,7 +204,14 @@ def test_m_values_match_the_verify_oracle():
 def test_ar_quiver_m_is_not_the_cached_table():
     ar = ar_quiver(LIN3)
     ar.m[1] += 5
-    assert ar_quiver(LIN3).m == {1: 2, 2: 1, 3: 0}
+    ar.phi[(1, 0)] = ((0, 0, 1), 7)
+    del ar.phi_inv[((1, 0, 0), 0)]
+    ar.height[1] = 9
+    fresh = ar_quiver(LIN3)
+    assert fresh.m == {1: 2, 2: 1, 3: 0}
+    assert fresh.phi[(1, 0)] == ((1, 0, 0), 0)
+    assert fresh.phi_inv[((1, 0, 0), 0)] == (1, 0)
+    assert fresh.height == {1: 0, 2: -1, 3: -2}
 
 
 def test_convex_order_agrees_with_path_order():

@@ -96,6 +96,12 @@ def test_w0_involution_tables():
     assert w0_involution(D5) == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
 
 
+def test_w0_involution_is_a_read_only_view_of_the_cache():
+    with pytest.raises(TypeError):
+        w0_involution(A3)[1] = 1
+    assert w0_involution(A3) == {1: 3, 2: 2, 3: 1}
+
+
 def test_cartan_matrices():
     assert cartan_matrix(A2) == ((2, -1), (-1, 2))
     assert cartan_matrix(D4) == (

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from arquiver import sequiver
 from arquiver.quiver import DynkinQuiver, ar_quiver
 from arquiver.rootsys import FiniteType, cartan_matrix, distance
 from arquiver.sequiver import (
@@ -155,6 +156,27 @@ def test_window_arrows_match_zero_orders():
             assert mult.get((str(v), str(w)), 0) == expected
             if expected:
                 assert zero_order(A1_2, v.i, w.i, w.x / v.x) == expected
+
+
+def test_window_scores_only_the_arrows_it_emits(monkeypatch):
+    calls = []
+
+    def counting(v, w):
+        calls.append((v, w))
+        return class_arrow_mult(v, w)
+
+    monkeypatch.setattr(sequiver, "class_arrow_mult", counting)
+    for g in (A2_3, D1_4, D2_5):
+        calls.clear()
+        quiv, _ = se_window(g, [se0_seed(g)], 2 * g.N)
+        assert quiv.arrows and len(calls) == len(quiv.arrows)
+
+
+def test_window_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="non-negative"):
+        se_window(A1_2, [vertex_class(A1_2, 1, ONE)], -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        se0_window(A1_2, -1)
 
 
 def test_se0_window_is_sorted_and_in_component():

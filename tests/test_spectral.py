@@ -102,6 +102,15 @@ def test_denominator_zeros_type_d_twisted():
     assert denominator_roots_raw(D2_4, 3, 3) == {(0, 2): 1, (2, 4): 1, (0, 6): 1}
 
 
+def test_denominator_roots_are_a_read_only_view_of_the_cache():
+    roots = denominator_roots_raw(A1_3, 1, 1)
+    with pytest.raises(TypeError):
+        roots[(0, 99)] = 5
+    assert zero_order(A1_3, 1, 1, SpectralParam(0, 99)) == 0
+    assert denominator(A1_3, 1, 1).degree == 1
+    assert denominator_roots_raw(A1_3, 1, 1) == {(0, 2): 1}
+
+
 def test_denominator_is_symmetric_in_k_l():
     for g in (A1_3, A2_4, D1_4, D2_4):
         idx = g.index_set
