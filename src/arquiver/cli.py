@@ -20,14 +20,23 @@ from .spectral import AffineType, SpectralParam, denominator
 
 _ARROW_RE = re.compile(r"(\d+)>(\d+)")
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)")
+# Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 1 s (D128:
+# 5.4 s); se-quiver at N = 16, bound 32 and every parity lattice seeded about 4 s.
+_MAX_RANK, _MAX_N, _MAX_BOUND = 64, 16, 32
+
+
+def _capped(option: str, value: int, cap: int) -> int:
+    if value > cap:
+        raise ValueError(f"--{option} must be at most {cap}, got {value}")
+    return value
 
 
 def _parse_ftype(args: argparse.Namespace) -> FiniteType:
-    return FiniteType(args.type, args.rank)
+    return FiniteType(args.type, _capped("rank", args.rank, _MAX_RANK))
 
 
 def _parse_affine(args: argparse.Namespace) -> AffineType:
-    return AffineType.from_code(args.g, args.n)
+    return AffineType.from_code(args.g, _capped("n", args.n, _MAX_N))
 
 
 def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
@@ -176,7 +185,7 @@ def _cmd_denominator(args: argparse.Namespace) -> int:
 
 def _cmd_se_quiver(args: argparse.Namespace) -> int:
     g = _parse_affine(args)
-    bound = args.bound if args.bound is not None else 2 * g.N
+    bound = _capped("bound", args.bound, _MAX_BOUND) if args.bound is not None else 2 * g.N
     if args.se0:
         seeds = [se0_seed(g)]
     elif args.seed:
@@ -248,7 +257,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_classical(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", choices=("A", "D"), required=True, help="Dynkin family")
-    p.add_argument("--rank", type=int, required=True, help="number of vertices")
+    p.add_argument(
+        "--rank", type=int, required=True, help=f"number of vertices (at most {_MAX_RANK})"
+    )
     p.add_argument(
         "--orientation",
         required=True,
@@ -260,7 +271,9 @@ def _add_affine(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--g", choices=("A1", "A2", "D1", "D2"), required=True, help="family and twist"
     )
-    p.add_argument("--n", type=int, required=True, help="the integer N of the type name")
+    p.add_argument(
+        "--n", type=int, required=True, help=f"the integer N of the type name (at most {_MAX_N})"
+    )
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -307,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_affine(p)
     p.add_argument("--seed", action="append", help="lattice seed 'i:param' (repeatable)")
     p.add_argument("--se0", action="store_true", help="seed with the distinguished component")
-    p.add_argument("--bound", type=int, help="|q-power| window bound (default 2N)")
+    p.add_argument(
+        "--bound", type=int, help=f"|q-power| window bound (default 2N, at most {_MAX_BOUND})"
+    )
     _add_format(p)
     _add_out(p)
     p.set_defaults(handler=_cmd_se_quiver)

@@ -8,8 +8,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quiver import ARData, DynkinQuiver, _orientation, adapted_word, ar_quiver, minimal_pairs
-from .rootsys import FiniteType, Root, root_sequence
+from .quiver import ARData, DynkinQuiver, _orientation, _tau_data, ar_quiver, minimal_pairs
+from .rootsys import FiniteType, Root
 from .spectral import (
     AffineType,
     SpectralParam,
@@ -153,7 +153,7 @@ def minimal_pair_triple(
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
-    order = root_sequence(ftype, adapted_word(ar.quiver, "w0"))
+    order = _tau_data(ar.quiver)[2]
     beta, gamma = tuple(pair[0]), tuple(pair[1])
     alpha = tuple(alpha)
     if (beta, gamma) not in minimal_pairs(order, alpha):

@@ -8,8 +8,10 @@ pairs for it live here as well.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Sequence
 
 from .rootsys import (
@@ -18,7 +20,6 @@ from .rootsys import (
     distance,
     neighbors,
     positive_roots,
-    represents_w0,
     root_sequence,
     sub_roots,
 )
@@ -139,9 +140,10 @@ def _tight_window(t: FiniteType, xi: dict[int, int]) -> tuple[int, int]:
 # whole Gamma_Q table, so the bound is small: at 64 entries the benchmark's
 # peak RSS grew by about a fifth.
 @lru_cache(maxsize=8)
-def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...]]:
-    """Gamma_Q at height_function(q), and its column reading from the top
-    height downward: the adapted w0 word, checked here once per quiver."""
+def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...]]:
+    """Gamma_Q at height_function(q), its column reading from the top height
+    downward (the adapted w0 word, checked here once per quiver) and that
+    word's root sequence, the convex order of minimal pairs."""
     t = q.ftype
     xi = height_function(q)
     window = _tight_window(t, xi)
@@ -157,13 +159,17 @@ def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...]]:
     w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
-    if not represents_w0(t, w0):
+    try:
+        order = root_sequence(t, w0)
+    except ValueError:
+        order = ()
+    if set(order) != positive_roots(t):
         raise AssertionError("column reading is not a longest-element word")
     arrows = sorted(
         ((i, p), (j, p + 1)) for i, p in gamma for j in neighbors(t, i) if (j, p + 1) in gamma
     )
     m = {i: w0.count(i) - 1 for i in t.index_set}  # row i of Gamma_Q has m_i + 1 vertices
-    return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0
+    return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
@@ -315,32 +321,57 @@ def gamma_path_order(ar: ARData) -> ConvexPartialOrder:
     return ConvexPartialOrder(roots, frozenset(pairs))
 
 
+# Bounded like _tau_data: callers sweep one order at a time.
+@lru_cache(maxsize=8)
+def _order_index(seq: tuple[Root, ...]) -> tuple:
+    """Positions in an order, one exact code per root with the code -> position
+    map and the subtraction on codes, and the memo of minimal-pair rows."""
+    pos = {r: n for n, r in enumerate(seq)}
+    if len(pos) != len(seq):
+        raise ValueError("order contains duplicates")
+    if len(set(map(len, seq))) > 1:  # keep the truncating tuple difference
+        return pos, {}, seq, pos, sub_roots
+    # code(r) = sum_k r_k B^k.  If each d_k lies inside (-B, B), sum_k d_k B^k = 0
+    # forces d = 0 (reduce mod B from the lowest digit); with d = alpha - beta -
+    # gamma, code(alpha) - code(beta) = code(gamma) exactly when beta + gamma =
+    # alpha.  Coefficients in [0, 127] give d_k in [-254, 127]: B = 256, the code
+    # is the bytes.  Otherwise |d_k| <= 3M < B = 6M + 1, M the largest |coefficient|.
+    try:
+        raw = [bytes(r) for r in seq]  # ValueError outside [0, 255]
+        small = all(map(bytes.isascii, raw))
+    except ValueError:
+        small = False
+    if small:
+        codes = [int.from_bytes(b, "little") for b in raw]
+    else:
+        base = 6 * max(map(abs, chain.from_iterable(seq))) + 1
+        powers = [base**k for k in range(len(seq[0]))]
+        codes = [sum(map(operator.mul, r, powers)) for r in seq]
+    return pos, {}, codes, dict(zip(codes, range(len(seq)))), operator.sub
+
+
 def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root], ...]:
     """All minimal pairs of alpha for a convex total order.
 
     A pair (beta, gamma) with beta + gamma = alpha and beta < alpha < gamma is
     minimal when no other such pair nests inside the closed interval
-    [beta, gamma].  Pairs are returned with the earlier root first.
+    [beta, gamma].  Pairs are returned with the earlier root first.  Each
+    order is indexed once and each alpha's row computed on first request.
     """
-    seq = tuple(tuple(r) for r in order)
-    pos = {r: n for n, r in enumerate(seq)}
-    if len(pos) != len(seq):
-        raise ValueError("order contains duplicates")
-    alpha = tuple(alpha)
-    if alpha not in pos:
+    seq = tuple(map(tuple, order))
+    pos, rows, codes, at, sub = _order_index(seq)
+    pa = pos.get(tuple(alpha))
+    if pa is None:
         raise ValueError("alpha is not in the given order")
-    pa = pos[alpha]
-    pairs = []
-    for beta in seq[:pa]:
-        gamma = sub_roots(alpha, beta)
-        if gamma in pos and pos[gamma] > pa:
-            pairs.append((beta, gamma))
-    out = []
-    for beta, gamma in pairs:
-        nested = any(
-            (b2, g2) != (beta, gamma) and pos[beta] <= pos[b2] and pos[g2] <= pos[gamma]
-            for b2, g2 in pairs
-        )
-        if not nested:
-            out.append((beta, gamma))
-    return tuple(sorted(out, key=lambda bg: pos[bg[0]]))
+    if pa not in rows:
+        # Scanning from the latest beta: a pair is minimal iff its gamma comes
+        # before the gamma of every later beta.
+        hits = map(at.get, map(sub, repeat(codes[pa]), codes[:pa]), repeat(-1))
+        pairs = [(pb, pg) for pb, pg in enumerate(hits) if pg > pa]
+        out, low = [], len(seq)
+        for pb, pg in reversed(pairs):
+            if pg < low:
+                out.append((seq[pb], seq[pg]))
+                low = pg
+        rows[pa] = tuple(out[::-1])
+    return rows[pa]

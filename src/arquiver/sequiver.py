@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from .quiver import ARData
 from .rootsys import distance, simple_root
-from .spectral import AffineType, SpectralParam, denominator_roots_raw, zero_order
+from .spectral import AffineType, SpectralParam, denominator_roots_raw
 
 
 def has_sign_quotient(g: AffineType, i: int) -> bool:
@@ -55,12 +55,14 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
     denominator at the parameter ratio, checked on every representative pair."""
     if v.g != w.g:
         raise ValueError("vertices belong to different affine types")
-    orders = {
-        zero_order(v.g, v.i, w.i, xw / xv) for xv in v.members() for xw in w.members()
-    }
-    if len(orders) != 1:
-        raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
-    return orders.pop()
+    roots = denominator_roots_raw(v.g, v.i, w.i)
+    zeta, m = (w.x.zeta - v.x.zeta) % 4, w.x.m - v.x.m
+    mult = roots.get((zeta, m), 0)
+    # The representative pairs give the ratios r and -r iff v or w is a sign-quotient node.
+    if has_sign_quotient(v.g, v.i) or has_sign_quotient(v.g, w.i):
+        if roots.get(((zeta + 2) % 4, m), 0) != mult:
+            raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
+    return mult
 
 
 def se0_seed(g: AffineType) -> SeVertex:

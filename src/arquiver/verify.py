@@ -49,7 +49,10 @@ from .sequiver import (
 from .spectral import (
     AffineType,
     SpectralParam,
+    denominator_roots_raw,
+    dual_index,
     dual_point,
+    p_star,
     right_dual_point,
     zero_order,
 )
@@ -89,6 +92,23 @@ def _check_se_j_equals_qrev() -> str | None:
                             f"base=({base_vertex},{base_value}) t={tw}: "
                             f"got {sorted(got)}, want {sorted(expected)}"
                         )
+    return None
+
+
+def _check_denominator_structure() -> str | None:
+    for g in [g for g2 in _twisted_types(16) for g in (g2.partner(), g2)]:
+        star = p_star(g)
+        for k in g.index_set:
+            for l in g.index_set:
+                roots, at = denominator_roots_raw(g, k, l), f"{g.code} N={g.N} d_{{{k},{l}}}"
+                if roots != denominator_roots_raw(g, dual_index(g, k), dual_index(g, l)):
+                    return f"{at} differs from d_{{k*,l*}}"
+                order, want = roots.get((star.zeta, star.m), 0), int(l == dual_index(g, k))
+                if order != want:
+                    return f"{at}: zero order {order} at p*, want {want}"
+                bad = [m for _, m in roots if not 1 <= m <= star.m]
+                if bad:
+                    return f"{at}: zero at q-power {min(bad)} outside 1..{star.m}"
     return None
 
 
@@ -461,6 +481,11 @@ _CHECKS: tuple[tuple[str, str, Callable[[], str | None]], ...] = (
         "se_j_equals_qrev",
         "A2..A8 and D4..D8, every orientation and base, t in {1,2}",
         _check_se_j_equals_qrev,
+    ),
+    (
+        "denominator_structure",
+        "A1, A2, D1, D2 with N <= 16, every (k, l): 4619 tables",
+        _check_denominator_structure,
     ),
     (
         "pi_two_to_one",

@@ -199,3 +199,37 @@ def test_command_timing_goes_to_stderr():
     res = run_cli("denominator", "--g", "A1", "--n", "2", "--k", "1", "--l", "1")
     assert res.stderr.startswith("# denominator ")
     assert res.stderr.strip().endswith("ms")
+
+
+CAPPED = (
+    ("--rank", 64, ("convex-order", "--type", "A", "--orientation", "1>2")),
+    ("--n", 16, ("denominator", "--g", "D2", "--k", "1", "--l", "1")),
+    ("--bound", 32, ("se-quiver", "--g", "A1", "--n", "2", "--se0")),
+)
+
+
+def test_size_caps_exit_2_above_the_limit():
+    for option, cap, argv in CAPPED:
+        res = run_cli(*argv, option, str(cap + 1))
+        assert res.returncode == 2, option
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: {option} must be at most {cap}, got {cap + 1}\n")
+
+
+def test_size_caps_admit_the_limit():
+    chain = ",".join(f"{i}>{i + 1}" for i in range(1, 64))
+    res = run_cli("convex-order", "--type", "A", "--rank", "64", "--orientation", chain)
+    assert res.returncode == 0
+    assert len(json.loads(res.stdout)["order"]) == 64 * 65 // 2
+    res = run_cli("denominator", "--g", "D2", "--n", "16", "--k", "1", "--l", "1")
+    assert res.returncode == 0 and json.loads(res.stdout)["N"] == 16
+    res = run_cli("se-quiver", "--g", "A1", "--n", "2", "--se0", "--bound", "32")
+    assert res.returncode == 0 and '"1:q^32"' in res.stdout
+
+
+def test_size_caps_are_listed_in_help():
+    for option, cap, argv in CAPPED:
+        res = run_cli(argv[0], "--help")
+        assert res.returncode == 0
+        line = next(ln for ln in res.stdout.splitlines() if ln.strip().startswith(option))
+        assert f"at most {cap})" in line

@@ -1,7 +1,8 @@
 """Differential tests: the incremental ``root_sequence``, the in-degree
-``is_adapted``, the knitted ``phi``, the monotone-orientation embedding search
-and the denominator-zero ``se_window`` against the slow paths they replaced,
-kept here as oracles."""
+``is_adapted``, the knitted ``phi``, the monotone-orientation embedding search,
+the denominator-zero ``se_window``, the indexed ``minimal_pairs`` and the
+one-lookup ``class_arrow_mult`` against the slow paths they replaced, kept here
+as oracles."""
 
 from __future__ import annotations
 
@@ -9,8 +10,9 @@ import importlib
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from arquiver import quiver, rootsys, sequiver
 from arquiver.quiver import (
     DynkinQuiver,
     adapted_word,
@@ -19,6 +21,7 @@ from arquiver.quiver import (
     gamma_root,
     height_function,
     is_adapted,
+    minimal_pairs,
     phi,
 )
 from arquiver.rootsys import (
@@ -30,16 +33,19 @@ from arquiver.rootsys import (
     reflect,
     root_sequence,
     simple_root,
+    sub_roots,
 )
 from arquiver.sequiver import (
     LabeledQuiver,
+    SeVertex,
     _lattice_classes,
     class_arrow_mult,
+    has_sign_quotient,
     se0_seed,
     se_window,
     vertex_class,
 )
-from arquiver.spectral import AffineType, SpectralParam
+from arquiver.spectral import AffineType, SpectralParam, zero_order
 
 # The package exports the function ``dorey``, which shadows the module.
 dorey = importlib.import_module("arquiver.dorey")
@@ -306,3 +312,182 @@ def test_se_window_matches_the_pairwise_scan(g):
     for seeds in seed_sets:
         for bound in (0, 3, 2 * g.N):
             assert se_window(g, seeds, bound) == se_window_oracle(g, seeds, bound), (seeds, bound)
+
+
+def minimal_pairs_oracle(order, alpha):
+    """Copy the order, rebuild its position dict and subtract root tuples,
+    then test every pair against every other for nesting."""
+    seq = tuple(tuple(r) for r in order)
+    pos = {r: n for n, r in enumerate(seq)}
+    if len(pos) != len(seq):
+        raise ValueError("order contains duplicates")
+    alpha = tuple(alpha)
+    if alpha not in pos:
+        raise ValueError("alpha is not in the given order")
+    pa = pos[alpha]
+    pairs = []
+    for beta in seq[:pa]:
+        gamma = sub_roots(alpha, beta)
+        if gamma in pos and pos[gamma] > pa:
+            pairs.append((beta, gamma))
+    out = []
+    for beta, gamma in pairs:
+        nested = any(
+            (b2, g2) != (beta, gamma) and pos[beta] <= pos[b2] and pos[g2] <= pos[gamma]
+            for b2, g2 in pairs
+        )
+        if not nested:
+            out.append((beta, gamma))
+    return tuple(sorted(out, key=lambda bg: pos[bg[0]]))
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
+    """Every orientation and every alpha, each asked twice (cold row, memo)."""
+    found = 0
+    for q in all_orientations(t):
+        order = root_sequence(t, adapted_word(q, "w0"))
+        for _ in range(2):
+            for alpha in order:
+                got = minimal_pairs(order, alpha)
+                assert type(got) is tuple and got == minimal_pairs_oracle(order, alpha)
+                found += len(got)
+    assert found > 0
+
+
+COEFFS = st.sampled_from(
+    [st.integers(0, 2), st.integers(-3, 3), st.integers(100, 300), st.integers(-10**12, 10**12)]
+)
+
+
+@st.composite
+def order_and_alpha(draw):
+    """Shuffled orders closed under some sums: subsets of the positive roots,
+    or integer vectors of any sign and size; sometimes with roots as lists, a
+    duplicate, a root of another length, or alpha missing."""
+    if draw(st.booleans()):
+        t = draw(SMALL)
+        order = draw(st.permutations(sorted(positive_roots(t))))
+        if draw(st.booleans()):
+            order = order[: draw(st.integers(0, len(order)))]
+        width, sums = t.rank, order
+    else:
+        width = draw(st.integers(1, 4))
+        vec = st.lists(draw(COEFFS), min_size=width, max_size=width).map(tuple)
+        base = draw(st.lists(vec, max_size=8, unique=True))
+        sums = {sub_roots(a, tuple(-c for c in b)) for a in base for b in base if a < b}
+        order = draw(st.permutations(sorted(set(base) | sums)))
+    order = list(order)
+    if order and draw(st.integers(0, 9)) == 0:
+        order.insert(draw(st.integers(0, len(order))), draw(st.sampled_from(order)))
+    if order and draw(st.integers(0, 9)) == 0:
+        order.append(order[0][:-1])
+    if draw(st.booleans()):
+        order = [list(r) for r in order]
+    if sums and draw(st.integers(0, 9)):
+        alpha = draw(st.sampled_from(sorted(sums)))
+    else:
+        alpha = tuple(draw(st.lists(st.integers(-2, 2), min_size=width, max_size=width)))
+    return order, alpha
+
+
+# Hand-made orders where a wrong code would find a pair: a carry between
+# base-256 digits (200 + 100 = 300 = 44 + 256), a base too small for the
+# coefficient range ((-3, 1) - (-3, 0) would code like (-2, 0) at B = 4), and
+# roots of two lengths, subtracted by truncation.
+@example(([(200, 0), (44, 1), (100, 0)], (44, 1)))
+@example(([(-3, 0), (-2, 0), (-3, 1)], (-2, 0)))
+@example(([(1,), (1, 1), (0,)], (1, 1)))
+@given(order_and_alpha())
+def test_minimal_pairs_match_oracle_on_random_orders(case):
+    order, alpha = case
+    assert _outcome(minimal_pairs, order, alpha) == _outcome(minimal_pairs_oracle, order, alpha)
+
+
+D7 = FiniteType("D", 7)
+
+
+def test_minimal_pair_triples_reuse_one_w0_order(monkeypatch):
+    calls = []
+    true_root_sequence = rootsys.root_sequence
+
+    def counting(t, word):
+        calls.append(tuple(word))
+        return true_root_sequence(t, word)
+
+    for mod in (rootsys, quiver, dorey):
+        monkeypatch.setattr(mod, "root_sequence", counting, raising=False)
+    quiver._tau_data.cache_clear()
+    q = all_orientations(D7)[21]
+    ar = ar_quiver(q)
+    order = true_root_sequence(D7, adapted_word(q, "w0"))
+    triples = 0
+    for _ in range(3):
+        for alpha in order:
+            for pair in minimal_pairs(order, alpha):
+                for tw in (1, 2):
+                    dorey.minimal_pair_triple(ar, alpha, pair, tw)
+                    triples += 1
+    assert triples > 0
+    assert calls == [adapted_word(q, "w0")]
+
+
+def test_order_index_stays_bounded():
+    quiver._order_index.cache_clear()
+    maxsize = quiver._order_index.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for q in all_orientations(D7):
+        order = root_sequence(D7, adapted_word(q, "w0"))
+        for alpha in order:
+            minimal_pairs(order, alpha)
+        assert quiver._order_index.cache_info().currsize <= maxsize
+    assert quiver._order_index.cache_info().currsize == maxsize
+
+
+def class_arrow_mult_oracle(v: SeVertex, w: SeVertex) -> int:
+    """One ``zero_order`` call per representative pair."""
+    if v.g != w.g:
+        raise ValueError("vertices belong to different affine types")
+    orders = {
+        zero_order(v.g, v.i, w.i, xw / xv) for xv in v.members() for xw in w.members()
+    }
+    if len(orders) != 1:
+        raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
+    return orders.pop()
+
+
+def _classes(g: AffineType, bound: int) -> list[SeVertex]:
+    """Every class (i, i^zeta q^m) with |m| <= bound."""
+    return sorted(
+        {
+            vertex_class(g, i, SpectralParam(zeta, m))
+            for i in g.index_set
+            for zeta in range(4)
+            for m in range(-bound, bound + 1)
+        },
+        key=lambda v: (v.i, v.x.m, v.x.zeta),
+    )
+
+
+@pytest.mark.parametrize("g", [g for g in SE_TYPES if g.N <= 7], ids=lambda g: f"{g.code}_{g.N}")
+def test_class_arrow_mult_matches_the_member_scan(g):
+    """Every ordered class pair of the window |m| <= N; its ratios reach
+    q-power 2N, past every zero (at most 2N - 2)."""
+    classes = _classes(g, g.N)
+    mults = [class_arrow_mult(v, w) for v in classes for w in classes]
+    assert mults == [class_arrow_mult_oracle(v, w) for v in classes for w in classes]
+    assert max(mults) > 0
+
+
+def test_class_arrow_mult_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
+    """A table with a zero at r but not at -r is caught, as by the oracle."""
+    g = AffineType("D", 2, 5)
+    v = vertex_class(g, 1, SpectralParam.one())
+    w = vertex_class(g, 2, SpectralParam.minus_q_power(2))
+    assert has_sign_quotient(g, v.i)
+    r = w.x / v.x
+    monkeypatch.setattr(sequiver, "denominator_roots_raw", lambda g, k, l: {(r.zeta, r.m): 1})
+    with pytest.raises(AssertionError, match="ill-defined"):
+        class_arrow_mult(v, w)
+    monkeypatch.setattr(sequiver, "has_sign_quotient", lambda g, i: False)
+    assert class_arrow_mult(v, w) == 1

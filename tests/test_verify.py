@@ -1,5 +1,6 @@
 """Tests for the self-verification checks themselves: they must still catch a
-wrong answer, and must not redo work per index that is done per orientation."""
+wrong answer, must look at their whole universe, and must not redo work per
+index that is done per orientation."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import pytest
 from arquiver import verify
 from arquiver.quiver import DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
+from arquiver.spectral import AffineType, p_star
 
 A3 = FiniteType("A", 3)
 D5_Q = all_orientations(FiniteType("D", 5))[5]
@@ -60,3 +62,53 @@ def test_m_values_builds_one_table_per_orientation_visited(monkeypatch):
     visited += sum(len(all_orientations(FiniteType("D", n))) for n in range(4, 11))
     assert visited == 2056
     assert len(calls) <= visited
+
+
+def _patch_table(monkeypatch, g: AffineType, k: int, l: int, edit) -> None:
+    """Make ``denominator_roots_raw`` return an edited d_{k,l} for one type."""
+    true_roots = verify.denominator_roots_raw
+
+    def patched(g2: AffineType, k2: int, l2: int):
+        roots = true_roots(g2, k2, l2)
+        if (g2, k2, l2) == (g, k, l):
+            roots = dict(roots)
+            edit(roots)
+        return roots
+
+    monkeypatch.setattr(verify, "denominator_roots_raw", patched)
+
+
+A1_4 = AffineType("A", 1, 4)
+D1_4 = AffineType("D", 1, 4)
+D1_STAR = (p_star(D1_4).zeta, p_star(D1_4).m)
+
+
+@pytest.mark.parametrize(
+    "g, k, l, edit, expected",
+    [
+        # 1* = 4 and 2* = 3 on A1 N=4: an extra zero at q^4 breaks d_{1,2} = d_{4,3}.
+        (A1_4, 1, 2, lambda r: r.update({(0, 4): 1}), "A1 N=4 d_{1,2} differs from d_{k*,l*}"),
+        # D1 N=4 is self-dual, so the symmetry holds and p* is caught.
+        (D1_4, 1, 2, lambda r: r.update({D1_STAR: 1}), "D1 N=4 d_{1,2}: zero order 1 at p*, want 0"),
+        (D1_4, 1, 1, lambda r: r.update({D1_STAR: 2}), "D1 N=4 d_{1,1}: zero order 2 at p*, want 1"),
+        (D1_4, 2, 2, lambda r: r.update({(0, 0): 1}), "D1 N=4 d_{2,2}: zero at q-power 0 outside 1..6"),
+    ],
+    ids=["symmetry", "p-star-extra", "p-star-double", "q-power-range"],
+)
+def test_denominator_structure_catches_an_edited_table(monkeypatch, g, k, l, edit, expected):
+    assert verify._check_denominator_structure() is None
+    _patch_table(monkeypatch, g, k, l, edit)
+    assert verify._check_denominator_structure() == expected
+
+
+def test_denominator_structure_reads_every_table(monkeypatch):
+    seen = set()
+    true_roots = verify.denominator_roots_raw
+
+    def counting(g: AffineType, k: int, l: int):
+        seen.add((g, k, l))
+        return true_roots(g, k, l)
+
+    monkeypatch.setattr(verify, "denominator_roots_raw", counting)
+    assert verify._check_denominator_structure() is None
+    assert len(seen) == 4619
