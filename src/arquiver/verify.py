@@ -96,7 +96,7 @@ def _check_se_j_equals_qrev() -> str | None:
 
 
 def _check_denominator_structure() -> str | None:
-    for g in [g for g2 in _twisted_types(16) for g in (g2.partner(), g2)]:
+    for g in [h for g2 in _twisted_types(16) for h in (g2.partner(), g2)]:
         star = p_star(g)
         for k in g.index_set:
             for l in g.index_set:
