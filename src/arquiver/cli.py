@@ -13,16 +13,19 @@ from pathlib import Path
 from typing import Sequence
 
 from .dorey import DoreyTriple, dorey, embed_pair_in_AR, multiple_pole_class
-from .quiver import DynkinQuiver, adapted_word, ar_quiver, height_function, minimal_pairs
-from .rootsys import FiniteType, format_root, root_sequence
+from .quiver import DynkinQuiver, _w0_order, adapted_word, ar_quiver, height_function, minimal_pairs
+from .rootsys import FiniteType, format_root
 from .sequiver import schur_weyl_quiver, se0_seed, se_window, vertex_class
 from .spectral import AffineType, SpectralParam, denominator
 
 _ARROW_RE = re.compile(r"(\d+)>(\d+)")
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)")
 # Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 1 s (D128:
-# 5.4 s); se-quiver at N = 16, bound 32 and every parity lattice seeded about 4 s.
-_MAX_RANK, _MAX_N, _MAX_BOUND = 64, 16, 32
+# 5.4 s); se-quiver at N = 16, bound 32 and every parity lattice seeded about 4 s;
+# embed-pair at D1 N = 64 about 0.9 s (N = 128: 5.8 s); denominator and dorey,
+# linear in N, under 0.2 s at N = 4096.
+_MAX_RANK, _MAX_BOUND = 64, 32
+_MAX_N = {"denominator": 4096, "se-quiver": 16, "dorey": 4096, "embed-pair": 64}
 
 
 def _capped(option: str, value: int, cap: int) -> int:
@@ -36,7 +39,7 @@ def _parse_ftype(args: argparse.Namespace) -> FiniteType:
 
 
 def _parse_affine(args: argparse.Namespace) -> AffineType:
-    return AffineType.from_code(args.g, _capped("n", args.n, _MAX_N))
+    return AffineType.from_code(args.g, _capped("n", args.n, _MAX_N[args.command]))
 
 
 def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
@@ -137,8 +140,7 @@ def _cmd_ar_quiver(args: argparse.Namespace) -> int:
 def _cmd_convex_order(args: argparse.Namespace) -> int:
     t = _parse_ftype(args)
     q = _parse_orientation(t, args.orientation)
-    word = adapted_word(q, "w0")
-    seq = root_sequence(t, word)
+    word, seq = adapted_word(q, "w0"), _w0_order(q)
     _emit(_dumps({"word": list(word), "order": [_root_str(r) for r in seq]}), args.out)
     return 0
 
@@ -147,8 +149,7 @@ def _cmd_minimal_pairs(args: argparse.Namespace) -> int:
     t = _parse_ftype(args)
     q = _parse_orientation(t, args.orientation)
     alpha = _parse_root(t, args.root)
-    seq = root_sequence(t, adapted_word(q, "w0"))
-    pairs = minimal_pairs(seq, alpha)
+    pairs = minimal_pairs(_w0_order(q), alpha)
     _emit(
         _dumps(
             {
@@ -267,12 +268,13 @@ def _add_classical(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_affine(p: argparse.ArgumentParser) -> None:
+def _add_affine(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument(
         "--g", choices=("A1", "A2", "D1", "D2"), required=True, help="family and twist"
     )
+    cap = _MAX_N[command]
     p.add_argument(
-        "--n", type=int, required=True, help=f"the integer N of the type name (at most {_MAX_N})"
+        "--n", type=int, required=True, help=f"the integer N of the type name (at most {cap})"
     )
 
 
@@ -310,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_minimal_pairs)
 
     p = sub.add_parser("denominator", help="zero multiset of a denominator d_{k,l}(z)")
-    _add_affine(p)
+    _add_affine(p, "denominator")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     _add_out(p)
     p.set_defaults(handler=_cmd_denominator)
 
     p = sub.add_parser("se-quiver", help="window of the spectral-point quiver")
-    _add_affine(p)
+    _add_affine(p, "se-quiver")
     p.add_argument("--seed", action="append", help="lattice seed 'i:param' (repeatable)")
     p.add_argument("--se0", action="store_true", help="seed with the distinguished component")
     p.add_argument(
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_schur_weyl)
 
     p = sub.add_parser("dorey", help="tensor-surjection verdict for a triple")
-    _add_affine(p)
+    _add_affine(p, "dorey")
     p.add_argument("--a", required=True, help="first factor 'i:param'")
     p.add_argument("--b", required=True, help="second factor 'i:param'")
     p.add_argument("--c", required=True, help="target 'i:param'")
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dorey)
 
     p = sub.add_parser("embed-pair", help="realize an adjacent pair inside one AR quiver")
-    _add_affine(p)
+    _add_affine(p, "embed-pair")
     p.add_argument("--v", required=True, help="first point 'i:param'")
     p.add_argument("--w", required=True, help="second point 'i:param'")
     _add_out(p)

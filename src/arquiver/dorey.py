@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .quiver import ARData, DynkinQuiver, _orientation, _tau_data, ar_quiver, minimal_pairs
+from .quiver import ARData, DynkinQuiver, _orientation, _w0_order, ar_quiver, minimal_pairs
 from .rootsys import FiniteType, Root
 from .spectral import (
     AffineType,
@@ -153,7 +153,7 @@ def minimal_pair_triple(
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
-    order = _tau_data(ar.quiver)[2]
+    order = _w0_order(ar.quiver)
     beta, gamma = tuple(pair[0]), tuple(pair[1])
     alpha = tuple(alpha)
     if (beta, gamma) not in minimal_pairs(order, alpha):

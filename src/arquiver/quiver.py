@@ -17,6 +17,7 @@ from typing import Sequence
 from .rootsys import (
     FiniteType,
     Root,
+    _w0_sequence,
     distance,
     neighbors,
     positive_roots,
@@ -159,17 +160,20 @@ def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...
     w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
-    try:
-        order = root_sequence(t, w0)
-    except ValueError:
-        order = ()
-    if set(order) != positive_roots(t):
+    order = _w0_sequence(t, w0)
+    if order is None:
         raise AssertionError("column reading is not a longest-element word")
     arrows = sorted(
         ((i, p), (j, p + 1)) for i, p in gamma for j in neighbors(t, i) if (j, p + 1) in gamma
     )
     m = {i: w0.count(i) - 1 for i in t.index_set}  # row i of Gamma_Q has m_i + 1 vertices
     return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
+
+
+def _w0_order(q: DynkinQuiver) -> tuple[Root, ...]:
+    """The root sequence of adapted_word(q, "w0"): the convex order whose
+    minimal pairs give the surjections."""
+    return _tau_data(q)[2]
 
 
 def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
@@ -331,22 +335,13 @@ def _order_index(seq: tuple[Root, ...]) -> tuple:
         raise ValueError("order contains duplicates")
     if len(set(map(len, seq))) > 1:  # keep the truncating tuple difference
         return pos, {}, seq, pos, sub_roots
-    # code(r) = sum_k r_k B^k.  If each d_k lies inside (-B, B), sum_k d_k B^k = 0
-    # forces d = 0 (reduce mod B from the lowest digit); with d = alpha - beta -
-    # gamma, code(alpha) - code(beta) = code(gamma) exactly when beta + gamma =
-    # alpha.  Coefficients in [0, 127] give d_k in [-254, 127]: B = 256, the code
-    # is the bytes.  Otherwise |d_k| <= 3M < B = 6M + 1, M the largest |coefficient|.
-    try:
-        raw = [bytes(r) for r in seq]  # ValueError outside [0, 255]
-        small = all(map(bytes.isascii, raw))
-    except ValueError:
-        small = False
-    if small:
-        codes = [int.from_bytes(b, "little") for b in raw]
-    else:
-        base = 6 * max(map(abs, chain.from_iterable(seq))) + 1
-        powers = [base**k for k in range(len(seq[0]))]
-        codes = [sum(map(operator.mul, r, powers)) for r in seq]
+    # code(r) = sum_k r_k B^k with B = 6M + 1, M the largest |coefficient|.  With
+    # d = alpha - beta - gamma each |d_k| <= 3M < B, so sum_k d_k B^k = 0 forces
+    # d = 0 (reduce mod B from the lowest digit): code(alpha) - code(beta) =
+    # code(gamma) exactly when beta + gamma = alpha.
+    base = 6 * max(map(abs, chain.from_iterable(seq)), default=0) + 1
+    powers = [base**k for k in range(max(map(len, seq), default=0))]
+    codes = [sum(map(operator.mul, r, powers)) for r in seq]
     return pos, {}, codes, dict(zip(codes, range(len(seq)))), operator.sub
 
 

@@ -174,13 +174,19 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     return tuple(seq)
 
 
-def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:
-    """True when the word is a reduced expression of the longest element."""
+def _w0_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...] | None:
+    """The word's root sequence when it is a reduced expression of the longest
+    element, else None."""
     try:
         seq = root_sequence(t, word)
     except ValueError:
-        return False
-    return set(seq) == positive_roots(t)
+        return None
+    return seq if set(seq) == positive_roots(t) else None
+
+
+def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:
+    """True when the word is a reduced expression of the longest element."""
+    return _w0_sequence(t, word) is not None
 
 
 @lru_cache(maxsize=None)

@@ -203,7 +203,10 @@ def test_command_timing_goes_to_stderr():
 
 CAPPED = (
     ("--rank", 64, ("convex-order", "--type", "A", "--orientation", "1>2")),
-    ("--n", 16, ("denominator", "--g", "D2", "--k", "1", "--l", "1")),
+    ("--n", 4096, ("denominator", "--g", "D2", "--k", "1", "--l", "1")),
+    ("--n", 16, ("se-quiver", "--g", "A1", "--se0")),
+    ("--n", 4096, ("dorey", "--g", "A1", "--a", "1:q^0", "--b", "1:q^2", "--c", "2:q^1")),
+    ("--n", 64, ("embed-pair", "--g", "D1", "--v", "1:q^0", "--w", "1:(-q)^2")),
     ("--bound", 32, ("se-quiver", "--g", "A1", "--n", "2", "--se0")),
 )
 
@@ -221,8 +224,15 @@ def test_size_caps_admit_the_limit():
     res = run_cli("convex-order", "--type", "A", "--rank", "64", "--orientation", chain)
     assert res.returncode == 0
     assert len(json.loads(res.stdout)["order"]) == 64 * 65 // 2
-    res = run_cli("denominator", "--g", "D2", "--n", "16", "--k", "1", "--l", "1")
-    assert res.returncode == 0 and json.loads(res.stdout)["N"] == 16
+    res = run_cli("denominator", "--g", "D2", "--n", "4096", "--k", "1", "--l", "1")
+    assert res.returncode == 0 and json.loads(res.stdout)["N"] == 4096
+    res = run_cli("se-quiver", "--g", "A1", "--n", "16", "--seed", "1:q^0", "--bound", "4")
+    assert res.returncode == 0 and '"1:q^0"' in res.stdout
+    res = run_cli("dorey", "--g", "A1", "--n", "4096", "--a", "1:(-q)^-1", "--b", "1:(-q)^1",
+                  "--c", "2:q^0")
+    assert res.returncode == 0 and json.loads(res.stdout)["holds"]
+    res = run_cli("embed-pair", "--g", "D1", "--n", "64", "--v", "1:q^0", "--w", "1:(-q)^2")
+    assert res.returncode == 0 and json.loads(res.stdout)["found"]
     res = run_cli("se-quiver", "--g", "A1", "--n", "2", "--se0", "--bound", "32")
     assert res.returncode == 0 and '"1:q^32"' in res.stdout
 

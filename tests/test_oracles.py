@@ -391,10 +391,10 @@ def order_and_alpha(draw):
     return order, alpha
 
 
-# Hand-made orders where a wrong code would find a pair: a carry between
-# base-256 digits (200 + 100 = 300 = 44 + 256), a base too small for the
-# coefficient range ((-3, 1) - (-3, 0) would code like (-2, 0) at B = 4), and
-# roots of two lengths, subtracted by truncation.
+# Hand-made orders where a wrong code would find a pair: coefficients past
+# one byte (base-256 digits carry: 200 + 100 = 300 = 44 + 256), a base too
+# small for the coefficient range ((-3, 1) - (-3, 0) would code like (-2, 0)
+# at B = 4), and roots of two lengths, subtracted by truncation.
 @example(([(200, 0), (44, 1), (100, 0)], (44, 1)))
 @example(([(-3, 0), (-2, 0), (-3, 1)], (-2, 0)))
 @example(([(1,), (1, 1), (0,)], (1, 1)))
