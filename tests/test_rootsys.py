@@ -56,9 +56,10 @@ def test_represents_w0_matches_s4_oracle():
     words = _s4_longest_words()
     for word in words:
         assert represents_w0(A3, word)
-    for word in itertools.product((1, 2, 3), repeat=6):
-        if word not in words:
-            assert not represents_w0(A3, word)
+    for length in range(7):  # shorter reduced words are not w0 either
+        for word in itertools.product((1, 2, 3), repeat=length):
+            if word not in words:
+                assert not represents_w0(A3, word)
 
 
 def test_positive_root_counts():
