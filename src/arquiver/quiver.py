@@ -207,6 +207,24 @@ def _check_height(q: DynkinQuiver, xi: dict[int, int]) -> None:
             raise ValueError(f"height function breaks xi_{a} = xi_{b} + 1 on the arrow {a} -> {b}")
 
 
+# phi knits a signed label v as the code sum_k v_k 256^k: the mesh relation is
+# linear, so it acts on codes.  A new digit sums at most three neighbour digits
+# and one back digit, so digits within _KNIT_MAX keep it inside one byte's
+# balanced range (4 * 31 < 128) and every code exact.
+_KNIT_MAX = 31
+
+
+def _unknit(code: int, n: int) -> Root:
+    """The root |v| of a knitted code of a length-n label.  Raises
+    AssertionError unless v's digits share one sign and lie within _KNIT_MAX:
+    a mixed sign leaves a digit of at least 256 - 127 in |v|'s bytes."""
+    a = abs(code)
+    digits = b"" if a >> 8 * n else a.to_bytes(n, "little")
+    if len(digits) != n or max(digits) > _KNIT_MAX:
+        raise AssertionError(f"knitted label {code} is not a signed root of length {n}")
+    return tuple(digits)
+
+
 def phi(
     q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]
 ) -> dict[tuple[int, int], tuple[Root, int]]:
@@ -223,23 +241,19 @@ def phi(
     _check_height(q, xi)
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
-    signed = {(i, xi[i]): gamma_root(q, i) for i in t.index_set}
-    table = {key: (v, 0) for key, v in signed.items()}
+    adj = {i: neighbors(t, i) for i in t.index_set}
+    knit = {(i, xi[i]): (int.from_bytes(bytes(gamma_root(q, i)), "little"), 0) for i in adj}
     for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
         for p in range(start + d, stop + d, d):
-            for i in t.index_set:
+            for i, nbrs in adj.items():
                 if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
                     continue
-                back = (i, p - 2 * d)
-                prev = signed[back]
-                mesh = [signed[(j, p - d)] for j in neighbors(t, i)]
-                v = tuple(sum(cs) - c for *cs, c in zip(*mesh, prev))
-                spin = table[back][1]
-                if (min(v) < 0) != (min(prev) < 0):
-                    spin += d
-                signed[(i, p)] = v
-                table[(i, p)] = (tuple(-c for c in v) if min(v) < 0 else v, spin)
-    return table
+                prev, spin = knit[(i, p - 2 * d)]
+                v = -prev
+                for j in nbrs:
+                    v += knit[(j, p - d)][0]
+                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
+    return {key: (_unknit(v, t.rank), spin) for key, (v, spin) in knit.items()}
 
 
 @dataclass(frozen=True)
@@ -345,6 +359,13 @@ def _order_index(seq: tuple[Root, ...]) -> tuple:
     return pos, {}, codes, dict(zip(codes, range(len(seq)))), operator.sub
 
 
+# The last order passed that cannot change (a tuple of tuples, as
+# root_sequence returns) and its index, first a placeholder no caller holds:
+# callers ask for each alpha of one order in turn, and converting and hashing
+# the order each time cost more than most rows.
+_last_order: tuple = (object(), None)
+
+
 def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root], ...]:
     """All minimal pairs of alpha for a convex total order.
 
@@ -353,8 +374,14 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
     [beta, gamma].  Pairs are returned with the earlier root first.  Each
     order is indexed once and each alpha's row computed on first request.
     """
-    seq = tuple(map(tuple, order))
-    pos, rows, codes, at, sub = _order_index(seq)
+    global _last_order
+    seq, index = _last_order
+    if order is not seq:
+        seq = tuple(map(tuple, order))
+        index = _order_index(seq)
+        if type(order) is tuple and all(type(r) is tuple for r in order):
+            _last_order = order, index
+    pos, rows, codes, at, sub = index
     pa = pos.get(tuple(alpha))
     if pa is None:
         raise ValueError("alpha is not in the given order")

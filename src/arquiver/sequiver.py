@@ -55,6 +55,12 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
     denominator at the parameter ratio, checked on every representative pair."""
     if v.g != w.g:
         raise ValueError("vertices belong to different affine types")
+    return _arrow_mult(v, w)
+
+
+def _arrow_mult(v: SeVertex, w: SeVertex) -> int:
+    """class_arrow_mult for two classes of one type: one raw table lookup, and
+    one more at sign-quotient nodes."""
     roots = denominator_roots_raw(v.g, v.i, w.i)
     zeta, m = (w.x.zeta - v.x.zeta) % 4, w.x.m - v.x.m
     mult = roots.get((zeta, m), 0)
@@ -250,27 +256,16 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
     ftype = ar.quiver.ftype
     g1 = AffineType(ftype.family, 1, ftype.rank)
     entries = []
-    s_map: dict[int, int] = {}
-    x_map: dict[int, SpectralParam] = {}
+    slot: dict[int, SeVertex] = {}
     for r in ftype.index_set:
         i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
         entries.append((r, i, p))
         point = SpectralParam.minus_q_power(p)
-        if t == 1:
-            s_map[r], x_map[r] = i, point
-        else:
-            img = pi(g1, i, point)
-            s_map[r], x_map[r] = img.i, img.x
-    g = g1 if t == 1 else g1.partner()
+        slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
     idx = ftype.index_set
-    dmat: dict[tuple[int, int], int] = {}
-    for a in idx:
-        for b in idx:
-            if a == b:
-                continue
-            va = vertex_class(g, s_map[a], x_map[a])
-            vb = vertex_class(g, s_map[b], x_map[b])
-            dmat[(a, b)] = class_arrow_mult(va, vb)
+    dmat = {(a, b): _arrow_mult(slot[a], slot[b]) for a in idx for b in idx if a != b}
+    s_map = {r: v.i for r, v in slot.items()}
+    x_map = {r: v.x for r, v in slot.items()}
     verts = tuple((str(r), f"{i},{p}") for r, i, p in entries)
     arrows = tuple(
         (str(a), str(b), dmat[(a, b)]) for a in idx for b in idx if a != b and dmat[(a, b)]

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
+
+from arquiver.cli import main
+from arquiver.quiver import all_orientations
+from arquiver.rootsys import FiniteType, positive_roots
+from arquiver.spectral import AffineType
 
 
 def run_cli(*argv: str):
@@ -243,3 +252,87 @@ def test_size_caps_are_listed_in_help():
         assert res.returncode == 0
         line = next(ln for ln in res.stdout.splitlines() if ln.strip().startswith(option))
         assert f"at most {cap})" in line
+
+
+def main_stdout(*argv: str) -> tuple[int, str]:
+    """Exit status and stdout of an in-process ``main`` call."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+CLASSICAL = st.sampled_from(
+    [FiniteType("A", n) for n in range(2, 7)] + [FiniteType("D", n) for n in range(4, 7)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), CLASSICAL)
+def test_orientations_spelled_differently_print_the_same_bytes(data, t):
+    """The arrows of --orientation in another order, with spaces around them."""
+    arrows = data.draw(st.sampled_from(all_orientations(t))).arrows
+    shuffled = data.draw(st.permutations(arrows))
+    pad = st.sampled_from(["", " "])
+    spelled = ",".join(f"{data.draw(pad)}{a}>{b}{data.draw(pad)}" for a, b in shuffled)
+    root = ",".join(map(str, data.draw(st.sampled_from(sorted(positive_roots(t))))))
+    command = data.draw(
+        st.sampled_from(
+            [
+                ("ar-quiver",),
+                ("ar-quiver", "--format", "dot"),
+                ("convex-order",),
+                ("minimal-pairs", "--root", root),
+                ("schur-weyl", "--t", "1"),
+                ("schur-weyl", "--t", "2", "--format", "dot"),
+            ]
+        )
+    )
+    head = (command[0], "--type", t.family, "--rank", str(t.rank))
+    listed = ",".join(f"{a}>{b}" for a, b in arrows)
+    plain = main_stdout(*head, "--orientation", listed, *command[1:])
+    assert plain[0] == 0 and plain[1]
+    assert main_stdout(*head, "--orientation", spelled, *command[1:]) == plain
+
+
+AFFINE = st.sampled_from(
+    [
+        AffineType(family, twist, n)
+        for family, low in (("A", 2), ("D", 4))
+        for twist in (1, 2)
+        for n in range(low, low + 4)
+    ]
+)
+
+
+def minus_q_spellings(k: int) -> list[str]:
+    """(-q)^k and its i^zeta q^m forms: q^k or +q^k for even k, -q^k for odd k."""
+    return [f"(-q)^{k}"] + ([f"q^{k}", f"+q^{k}"] if k % 2 == 0 else [f"-q^{k}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), AFFINE)
+def test_vertices_spelled_differently_print_the_same_bytes(data, g):
+    """Each 'i:param' of dorey, se-quiver and (untwisted) embed-pair as (-q)^k
+    or +-q^k."""
+    points = [
+        (data.draw(st.sampled_from(g.index_set)), data.draw(st.integers(-6, 6))) for _ in range(3)
+    ]
+
+    def spell(i: int, k: int) -> str:
+        return f"{i}:{data.draw(st.sampled_from(minus_q_spellings(k)))}"
+
+    def argv(spelled: list[str]) -> tuple[str, ...]:
+        a, b, c = spelled
+        head = ("--g", g.code, "--n", str(g.N))
+        return {
+            "dorey": ("dorey", *head, "--a", a, "--b", b, "--c", c),
+            "embed-pair": ("embed-pair", *head, "--v", a, "--w", b),
+            "se-quiver": ("se-quiver", *head, "--seed", a, "--seed", c, "--bound", "3"),
+        }[command]
+
+    untwisted = ["embed-pair"] if g.twist == 1 else []
+    command = data.draw(st.sampled_from(["dorey", "se-quiver", *untwisted]))
+    plain = main_stdout(*argv([f"{i}:(-q)^{k}" for i, k in points]))
+    assert plain[0] == 0 and plain[1]
+    assert main_stdout(*argv([spell(i, k) for i, k in points])) == plain

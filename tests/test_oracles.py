@@ -1,8 +1,9 @@
 """Differential tests: the incremental ``root_sequence``, the in-degree
-``is_adapted``, the knitted ``phi``, the monotone-orientation embedding search,
-the denominator-zero ``se_window``, the indexed ``minimal_pairs`` and the
-one-lookup ``class_arrow_mult`` against the slow paths they replaced, kept here
-as oracles."""
+``is_adapted``, the integer-coded knitted ``phi``, the monotone-orientation
+embedding search, the denominator-zero ``se_window``, the indexed
+``minimal_pairs`` with its one-order memo, the one-lookup ``class_arrow_mult``
+and the one-class-per-slot ``schur_weyl_quiver`` against the slow paths they
+replaced, kept here as oracles."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from arquiver.rootsys import (
     FiniteType,
     apply_word,
     cartan_matrix,
+    neighbors,
     pairing,
     positive_roots,
     reflect,
@@ -37,10 +39,13 @@ from arquiver.rootsys import (
 )
 from arquiver.sequiver import (
     LabeledQuiver,
+    SchurWeylDatum,
     SeVertex,
     _lattice_classes,
     class_arrow_mult,
     has_sign_quotient,
+    pi,
+    schur_weyl_quiver,
     se0_seed,
     se_window,
     vertex_class,
@@ -131,6 +136,82 @@ def test_knitted_phi_matches_the_coxeter_path(t):
             assert ar.phi_inv == {key: v for v, key in tight.items()}, (q, base)
             assert ar.gamma_vertices == gamma, (q, base)
             assert ar.m == {i: sum(j == i for j, _ in gamma) - 1 for i in t.index_set}, (q, base)
+
+
+def phi_tuple_knit_oracle(q: DynkinQuiver, xi, window):
+    """Knit root tuples: sum the neighbour tuples and subtract the back one
+    coefficient by coefficient, testing signs with min()."""
+    lo, hi = window
+    t = q.ftype
+    signed = {(i, xi[i]): gamma_root(q, i) for i in t.index_set}
+    table = {key: (v, 0) for key, v in signed.items()}
+    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
+        for p in range(start + d, stop + d, d):
+            for i in t.index_set:
+                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
+                    continue
+                back = (i, p - 2 * d)
+                prev = signed[back]
+                mesh = [signed[(j, p - d)] for j in neighbors(t, i)]
+                v = tuple(sum(cs) - c for *cs, c in zip(*mesh, prev))
+                spin = table[back][1]
+                if (min(v) < 0) != (min(prev) < 0):
+                    spin += d
+                signed[(i, p)] = v
+                table[(i, p)] = (tuple(-c for c in v) if min(v) < 0 else v, spin)
+    return table
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_integer_knit_matches_the_tuple_knit(t):
+    """Every orientation, on the tight window and one padded by 8N, with the
+    same entries in the same insertion order."""
+    n = t.rank
+    for q in all_orientations(t):
+        xi = height_function(q)
+        lo, hi = min(xi.values()), max(xi.values())
+        for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
+            want = phi_tuple_knit_oracle(q, xi, window)
+            got = phi(q, xi, window)
+            assert list(got.items()) == list(want.items()), (q, window)
+
+
+@pytest.mark.parametrize(
+    "code, n",
+    [
+        (1 - 256, 2),  # mixed signs: (1, -1)
+        (-1 + 256, 2),  # mixed signs: (-1, 1)
+        (32, 1),  # a digit past the exact range
+        (-32 * 256, 2),
+        (256, 1),  # more digits than the label has
+        (-(256**3), 3),
+    ],
+)
+def test_unknit_rejects_codes_outside_the_exact_range(code, n):
+    with pytest.raises(AssertionError, match="not a signed root"):
+        quiver._unknit(code, n)
+
+
+def test_unknit_reads_signed_labels():
+    assert quiver._unknit(2 + 256 + 31 * 256**2, 3) == (2, 1, 31)
+    assert quiver._unknit(-(2 + 256), 3) == (2, 1, 0)
+    assert quiver._unknit(0, 2) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        {1: (1, 0, 0), 2: (0, 0, 1), 3: (1, 0, 0)},  # v(1, -2) = (-1, 0, 1)
+        {1: (30, 0, 0), 2: (60, 0, 0), 3: (90, 0, 0)},  # a digit 60 at (2, -1)
+    ],
+)
+def test_phi_raises_when_the_knit_leaves_the_exact_range(monkeypatch, seeds):
+    """Seeds that are no roots on the linear A3 quiver 1 -> 2 -> 3."""
+    q = all_orientations(A3)[0]
+    xi = height_function(q)
+    monkeypatch.setattr(quiver, "gamma_root", lambda q, i: seeds[i])
+    with pytest.raises(AssertionError, match="not a signed root"):
+        phi(q, xi, (min(xi.values()) - 8, max(xi.values())))
 
 
 def _outcome(f, *args):
@@ -444,6 +525,31 @@ def test_order_index_stays_bounded():
     assert quiver._order_index.cache_info().currsize == maxsize
 
 
+def test_minimal_pairs_reuses_only_an_immutable_order():
+    """The same tuple of tuples reuses its index; a list or a tuple of lists
+    is read afresh on every call, so editing it in place between calls never
+    meets a stale index.  The memo holds one order at a time."""
+    t = FiniteType("A", 4)
+    orders = [root_sequence(t, adapted_word(q, "w0")) for q in all_orientations(t)[:2]]
+    for order in orders:
+        for alpha in order * 2:
+            assert minimal_pairs(order, alpha) == minimal_pairs_oracle(order, alpha)
+            assert len(quiver._last_order) == 2 and quiver._last_order[0] is order
+    first, second = orders
+    as_list = list(first)
+    assert minimal_pairs(as_list, first[-1]) == minimal_pairs_oracle(first, first[-1])
+    as_list[:] = second
+    for alpha in second:
+        assert minimal_pairs(as_list, alpha) == minimal_pairs_oracle(second, alpha)
+    of_lists = tuple(list(r) for r in first)
+    alpha = first[len(first) // 2]
+    assert minimal_pairs(of_lists, alpha) == minimal_pairs_oracle(first, alpha)
+    for r, s in zip(of_lists, second):
+        r[:] = s
+    assert minimal_pairs(of_lists, alpha) == minimal_pairs_oracle(second, alpha)
+    assert quiver._last_order[0] is second
+
+
 def class_arrow_mult_oracle(v: SeVertex, w: SeVertex) -> int:
     """One ``zero_order`` call per representative pair."""
     if v.g != w.g:
@@ -491,3 +597,79 @@ def test_class_arrow_mult_checks_both_ratios_at_sign_quotient_nodes(monkeypatch)
         class_arrow_mult(v, w)
     monkeypatch.setattr(sequiver, "has_sign_quotient", lambda g, i: False)
     assert class_arrow_mult(v, w) == 1
+
+
+def schur_weyl_quiver_oracle(ar, t: int) -> SchurWeylDatum:
+    """Two validated classes and one ``class_arrow_mult`` call per ordered
+    pair of slots."""
+    ftype = ar.quiver.ftype
+    g1 = AffineType(ftype.family, 1, ftype.rank)
+    entries, s_map, x_map = [], {}, {}
+    for r in ftype.index_set:
+        i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
+        entries.append((r, i, p))
+        point = SpectralParam.minus_q_power(p)
+        if t == 1:
+            s_map[r], x_map[r] = i, point
+        else:
+            img = pi(g1, i, point)
+            s_map[r], x_map[r] = img.i, img.x
+    g = g1 if t == 1 else g1.partner()
+    idx = ftype.index_set
+    dmat = {}
+    for a in idx:
+        for b in idx:
+            if a != b:
+                va = vertex_class(g, s_map[a], x_map[a])
+                vb = vertex_class(g, s_map[b], x_map[b])
+                dmat[(a, b)] = class_arrow_mult(va, vb)
+    verts = tuple((str(r), f"{i},{p}") for r, i, p in entries)
+    arrows = tuple(
+        (str(a), str(b), dmat[(a, b)]) for a in idx for b in idx if a != b and dmat[(a, b)]
+    )
+    cartan = tuple(
+        tuple(2 if a == b else -dmat[(a, b)] - dmat[(b, a)] for b in idx) for a in idx
+    )
+    qexp = {(a, b): (dmat[(a, b)], dmat[(b, a)]) for a in idx for b in idx if a < b}
+    return SchurWeylDatum(
+        tuple(entries), s_map, x_map, LabeledQuiver(verts, arrows), cartan, qexp
+    )
+
+
+@pytest.mark.parametrize(
+    "t", [t for t in TYPES if t.rank <= 7], ids=lambda t: f"{t.family}{t.rank}"
+)
+def test_schur_weyl_quiver_matches_the_pairwise_classes(t):
+    for q in all_orientations(t):
+        ar = ar_quiver(q)
+        for tw in (1, 2):
+            got, want = schur_weyl_quiver(ar, tw), schur_weyl_quiver_oracle(ar, tw)
+            assert got == want, (q, tw)
+            assert list(got.s.items()) == list(want.s.items()), (q, tw)
+            assert list(got.qexp.items()) == list(want.qexp.items()), (q, tw)
+
+
+def test_schur_weyl_quiver_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
+    """A raw table with zeros at r but never at -r: the first slot pair that
+    meets a sign-quotient node raises the text class_arrow_mult raises."""
+    q = all_orientations(FiniteType("D", 5))[3]
+    ar = ar_quiver(q)
+    sw = schur_weyl_quiver(ar, 2)
+    g = AffineType("D", 2, 5)
+    slots = {r: vertex_class(g, sw.s[r], sw.X[r]) for r in sw.s}
+    v, w = next(
+        (slots[a], slots[b])
+        for a in slots
+        for b in slots
+        if a != b and (has_sign_quotient(g, slots[a].i) or has_sign_quotient(g, slots[b].i))
+    )
+    asymmetric = {(zeta, m): 1 for zeta in (0, 1) for m in range(-30, 31)}
+    monkeypatch.setattr(sequiver, "denominator_roots_raw", lambda g, k, l: asymmetric)
+    text = f"arrow multiplicity ill-defined between {v} and {w}"
+    with pytest.raises(AssertionError) as single:
+        class_arrow_mult(v, w)
+    with pytest.raises(AssertionError) as whole:
+        schur_weyl_quiver(ar, 2)
+    with pytest.raises(AssertionError) as oracle:
+        schur_weyl_quiver_oracle(ar, 2)
+    assert str(single.value) == str(whole.value) == str(oracle.value) == text
