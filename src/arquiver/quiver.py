@@ -11,15 +11,16 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence
 
 from .rootsys import (
     FiniteType,
     Root,
+    _adjacency,
+    _unknit,
     _w0_sequence,
     distance,
-    neighbors,
     positive_roots,
     root_sequence,
     sub_roots,
@@ -69,14 +70,14 @@ def is_adapted(q: DynkinQuiver, word: Sequence[int]) -> bool:
     Only in-degrees are tracked: reflecting at a source turns all of its
     arrows inward and takes one incoming arrow from each neighbour.
     """
-    t = q.ftype
-    indeg = {i: 0 for i in t.index_set}
+    adj = _adjacency(q.ftype)
+    indeg = dict.fromkeys(adj, 0)
     for _, b in q.arrows:
         indeg[b] += 1
     for letter in word:
-        if letter not in t.index_set or indeg[letter]:
+        if letter not in adj or indeg[letter]:
             return False
-        nbrs = neighbors(t, letter)
+        nbrs = adj[letter]
         indeg[letter] = len(nbrs)
         for j in nbrs:
             indeg[j] -= 1
@@ -87,20 +88,24 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
     """A canonical word adapted to the orientation.
 
     ``target`` ``"coxeter"``: a full source sweep (each vertex once, greedy
-    smallest index).  ``target`` ``"w0"``: the column reading of the AR quiver
-    from the top height downward, verified once per quiver (in ``_tau_data``)
-    to be an adapted reduced word for the longest element.
+    smallest index, replayed on in-degrees).  ``target`` ``"w0"``: the column
+    reading of the AR quiver from the top height downward, verified once per
+    quiver (in ``_tau_data``) to be an adapted reduced word for w0.
     """
     t = q.ftype
     if target == "coxeter":
+        adj = _adjacency(t)
+        indeg = dict.fromkeys(adj, 0)  # of the vertices not yet in the word
+        for _, b in q.arrows:
+            indeg[b] += 1
         word: list[int] = []
-        cur = q
-        for _ in range(t.rank):
-            cand = sorted(v for v in cur.sources() if v not in word)
-            if not cand:
+        while indeg:
+            v = min((i for i, d in indeg.items() if not d), default=None)
+            if v is None:
                 raise AssertionError("source sweep ran out of sources")
-            word.append(cand[0])
-            cur = cur.reflect(cand[0])
+            word.append(v)
+            del indeg[v]
+            indeg.update((j, indeg[j] - 1) for j in adj[v] if j in indeg)
         out = tuple(word)
         root_sequence(t, out)  # raises if not reduced
         return out
@@ -114,13 +119,14 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
     t = q.ftype
     if base_vertex not in t.index_set:
         raise ValueError(f"base vertex {base_vertex} not in the index set")
+    adj = _adjacency(t)
     arrow_set = set(q.arrows)
     xi = {base_vertex: base_value}
     frontier = [base_vertex]
     while frontier:
         nxt = []
         for v in frontier:
-            for w in neighbors(t, v):
+            for w in adj[v]:
                 if w in xi:
                     continue
                 xi[w] = xi[v] - 1 if (v, w) in arrow_set else xi[v] + 1
@@ -163,9 +169,8 @@ def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...
     order = _w0_sequence(t, w0)
     if order is None:
         raise AssertionError("column reading is not a longest-element word")
-    arrows = sorted(
-        ((i, p), (j, p + 1)) for i, p in gamma for j in neighbors(t, i) if (j, p + 1) in gamma
-    )
+    adj = _adjacency(t)
+    arrows = sorted(((i, p), (j, p + 1)) for i, p in gamma for j in adj[i] if (j, p + 1) in gamma)
     m = {i: w0.count(i) - 1 for i in t.index_set}  # row i of Gamma_Q has m_i + 1 vertices
     return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
 
@@ -207,24 +212,6 @@ def _check_height(q: DynkinQuiver, xi: dict[int, int]) -> None:
             raise ValueError(f"height function breaks xi_{a} = xi_{b} + 1 on the arrow {a} -> {b}")
 
 
-# phi knits a signed label v as the code sum_k v_k 256^k: the mesh relation is
-# linear, so it acts on codes.  A new digit sums at most three neighbour digits
-# and one back digit, so digits within _KNIT_MAX keep it inside one byte's
-# balanced range (4 * 31 < 128) and every code exact.
-_KNIT_MAX = 31
-
-
-def _unknit(code: int, n: int) -> Root:
-    """The root |v| of a knitted code of a length-n label.  Raises
-    AssertionError unless v's digits share one sign and lie within _KNIT_MAX:
-    a mixed sign leaves a digit of at least 256 - 127 in |v|'s bytes."""
-    a = abs(code)
-    digits = b"" if a >> 8 * n else a.to_bytes(n, "little")
-    if len(digits) != n or max(digits) > _KNIT_MAX:
-        raise AssertionError(f"knitted label {code} is not a signed root of length {n}")
-    return tuple(digits)
-
-
 def phi(
     q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]
 ) -> dict[tuple[int, int], tuple[Root, int]]:
@@ -241,7 +228,7 @@ def phi(
     _check_height(q, xi)
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
-    adj = {i: neighbors(t, i) for i in t.index_set}
+    adj = _adjacency(t)
     knit = {(i, xi[i]): (int.from_bytes(bytes(gamma_root(q, i)), "little"), 0) for i in adj}
     for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
         for p in range(start + d, stop + d, d):
@@ -342,13 +329,13 @@ def gamma_path_order(ar: ARData) -> ConvexPartialOrder:
 # Bounded like _tau_data: callers sweep one order at a time.
 @lru_cache(maxsize=8)
 def _order_index(seq: tuple[Root, ...]) -> tuple:
-    """Positions in an order, one exact code per root with the code -> position
-    map and the subtraction on codes, and the memo of minimal-pair rows."""
+    """Positions in an order and its memo of minimal-pair rows; for roots of one
+    length also an exact code per root, the code -> position map and splits."""
     pos = {r: n for n, r in enumerate(seq)}
     if len(pos) != len(seq):
         raise ValueError("order contains duplicates")
     if len(set(map(len, seq))) > 1:  # keep the truncating tuple difference
-        return pos, {}, seq, pos, sub_roots
+        return pos, {}, None, None, (None, None)
     # code(r) = sum_k r_k B^k with B = 6M + 1, M the largest |coefficient|.  With
     # d = alpha - beta - gamma each |d_k| <= 3M < B, so sum_k d_k B^k = 0 forces
     # d = 0 (reduce mod B from the lowest digit): code(alpha) - code(beta) =
@@ -356,7 +343,15 @@ def _order_index(seq: tuple[Root, ...]) -> tuple:
     base = 6 * max(map(abs, chain.from_iterable(seq)), default=0) + 1
     powers = [base**k for k in range(max(map(len, seq), default=0))]
     codes = [sum(map(operator.mul, r, powers)) for r in seq]
-    return pos, {}, codes, dict(zip(codes, range(len(seq)))), operator.sub
+    return pos, {}, codes, dict(zip(codes, range(len(seq)))), _root_splits(frozenset(codes))
+
+
+# The code set and a memo, filled on request, from a code c to the codes b of
+# the set with c - b in the set and b < c - b: every order of one root set
+# (every orientation of one type) shares it; 32 keep a few dozen types warm.
+@lru_cache(maxsize=32)
+def _root_splits(codes: frozenset[int]) -> tuple[frozenset[int], dict]:
+    return codes, {}
 
 
 # The last order passed that cannot change (a tuple of tuples, as
@@ -372,7 +367,8 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
     A pair (beta, gamma) with beta + gamma = alpha and beta < alpha < gamma is
     minimal when no other such pair nests inside the closed interval
     [beta, gamma].  Pairs are returned with the earlier root first.  Each
-    order is indexed once and each alpha's row computed on first request.
+    order is indexed once; alpha's row is computed on first request from the
+    splits of alpha, shared by every order of the same root set.
     """
     global _last_order
     seq, index = _last_order
@@ -381,15 +377,28 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
         index = _order_index(seq)
         if type(order) is tuple and all(type(r) is tuple for r in order):
             _last_order = order, index
-    pos, rows, codes, at, sub = index
+    pos, rows, codes, at, (found, memo) = index
     pa = pos.get(tuple(alpha))
     if pa is None:
         raise ValueError("alpha is not in the given order")
     if pa not in rows:
+        if codes is None:
+            hits = (pos.get(sub_roots(seq[pa], b), -1) for b in seq[:pa])
+            pairs = [(pb, pg) for pb, pg in enumerate(hits) if pg > pa]
+        else:
+            c = codes[pa]
+            if c not in memo:
+                memo[c] = tuple(b for b in found if b < c - b and c - b in found)
+            pairs = []
+            for b in memo[c]:
+                pb, pg = at[b], at[c - b]
+                if pg < pb:
+                    pb, pg = pg, pb
+                if pb < pa < pg:
+                    pairs.append((pb, pg))
+            pairs.sort()
         # Scanning from the latest beta: a pair is minimal iff its gamma comes
         # before the gamma of every later beta.
-        hits = map(at.get, map(sub, repeat(codes[pa]), codes[:pa]), repeat(-1))
-        pairs = [(pb, pg) for pb, pg in enumerate(hits) if pg > pa]
         out, low = [], len(seq)
         for pb, pg in reversed(pairs):
             if pg < low:

@@ -149,6 +149,23 @@ def apply_word(t: FiniteType, word: Sequence[int], v: Root) -> Root:
     return v
 
 
+# A signed label v is knitted as the code sum_k v_k 256^k: reflections and the
+# mesh relation are linear, so they act on codes.  A new digit sums at most four
+# digits of the step before, so digits within _KNIT_MAX = 2^5 - 1 keep it inside
+# one byte's balanced range (4 * 31 < 128) and every code exact.
+_KNIT_MAX = 31
+
+
+def _unknit(code: int, n: int) -> Root:
+    """The root |v| of a knitted code of a length-n label.  Raises
+    AssertionError unless v's digits share one sign and lie within _KNIT_MAX:
+    a mixed sign leaves a digit of at least 256 - 127 in |v|'s bytes."""
+    a = abs(code)
+    if a >> 8 * n or a & int.from_bytes(bytes([255 ^ _KNIT_MAX]) * n, "little"):
+        raise AssertionError(f"knitted label {code} is not a signed root of length {n}")
+    return tuple(a.to_bytes(n, "little"))
+
+
 def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a reduced word.
 
@@ -156,22 +173,23 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     positive root).  For a longest-element word the result enumerates all
     positive roots in a convex total order.
 
-    Keeps the columns w(alpha_j) of the current prefix w, so beta_k is column
-    i_k; right multiplication by s_i negates column i and adds it to the
-    column of each neighbour of i.
+    Keeps the columns w(alpha_j) of the prefix w as base-256 codes (_unknit),
+    so beta_k is column i_k; right multiplication by s_i negates column i and
+    adds it to each neighbour's.  A column is a root: negative iff its code is.
     """
-    cols = {j: simple_root(t, j) for j in t.index_set}
-    seq: list[Root] = []
+    adj = _adjacency(t)
+    cols = {j: 1 << 8 * (j - 1) for j in adj}
+    seq: list[int] = []
     for k, letter in enumerate(word, start=1):
-        nbrs = neighbors(t, letter)
+        nbrs = adj[letter] if letter in adj else neighbors(t, letter)  # the latter raises
         beta = cols[letter]
-        if min(beta) < 0:
+        if beta < 0:
             raise ValueError(f"word is not reduced at position {k}")
         seq.append(beta)
-        cols[letter] = tuple(-c for c in beta)
+        cols[letter] = -beta
         for j in nbrs:
-            cols[j] = add_roots(cols[j], beta)
-    return tuple(seq)
+            cols[j] += beta
+    return tuple(_unknit(beta, t.rank) for beta in seq)
 
 
 def _w0_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...] | None:

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from .quiver import ARData
 from .rootsys import distance, simple_root
-from .spectral import AffineType, SpectralParam, denominator_roots_raw
+from .spectral import AffineType, SpectralParam, _raw_tables, denominator_roots_raw
 
 
 def has_sign_quotient(g: AffineType, i: int) -> bool:
@@ -55,19 +55,18 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
     denominator at the parameter ratio, checked on every representative pair."""
     if v.g != w.g:
         raise ValueError("vertices belong to different affine types")
-    return _arrow_mult(v, w)
+    quotient = has_sign_quotient(v.g, v.i) or has_sign_quotient(v.g, w.i)
+    return _arrow_mult(v, w, denominator_roots_raw(v.g, v.i, w.i), quotient)
 
 
-def _arrow_mult(v: SeVertex, w: SeVertex) -> int:
-    """class_arrow_mult for two classes of one type: one raw table lookup, and
-    one more at sign-quotient nodes."""
-    roots = denominator_roots_raw(v.g, v.i, w.i)
+def _arrow_mult(v: SeVertex, w: SeVertex, roots, quotient: bool) -> int:
+    """class_arrow_mult given the raw table of d_{v.i,w.i} and whether v or w
+    is a sign-quotient node: one lookup, and one more at quotient nodes."""
     zeta, m = (w.x.zeta - v.x.zeta) % 4, w.x.m - v.x.m
     mult = roots.get((zeta, m), 0)
     # The representative pairs give the ratios r and -r iff v or w is a sign-quotient node.
-    if has_sign_quotient(v.g, v.i) or has_sign_quotient(v.g, w.i):
-        if roots.get(((zeta + 2) % 4, m), 0) != mult:
-            raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
+    if quotient and roots.get(((zeta + 2) % 4, m), 0) != mult:
+        raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
     return mult
 
 
@@ -263,7 +262,12 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
         point = SpectralParam.minus_q_power(p)
         slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
     idx = ftype.index_set
-    dmat = {(a, b): _arrow_mult(slot[a], slot[b]) for a in idx for b in idx if a != b}
+    raw = _raw_tables(g1 if t == 1 else g1.partner())
+    quotient = {r: has_sign_quotient(v.g, v.i) for r, v in slot.items()}
+    dmat = {
+        (a, b): _arrow_mult(va, vb, raw(va.i, vb.i), quotient[a] or quotient[b])
+        for a, va in slot.items() for b, vb in slot.items() if a != b
+    }
     s_map = {r: v.i for r, v in slot.items()}
     x_map = {r: v.x for r, v in slot.items()}
     verts = tuple((str(r), f"{i},{p}") for r, i, p in entries)

@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import Callable
 
 from .rootsys import FiniteType
 
@@ -190,6 +191,13 @@ def _denominator_data(
                 factors.append(f"z+(-q^2)^{s}")
                 _add(roots, 2 * s + 2, 2 * s)
     return tuple(factors), MappingProxyType(roots)
+
+
+@lru_cache(maxsize=None)
+def _raw_tables(g: AffineType) -> Callable[[int, int], MappingProxyType[tuple[int, int], int]]:
+    """denominator_roots_raw on g for valid indices, each (k, l) built on first
+    request, without index checks or hashing g: one fetch per Schur-Weyl datum."""
+    return lru_cache(maxsize=None)(lambda k, l: _denominator_data(g, min(k, l), max(k, l))[1])
 
 
 def denominator_roots_raw(

@@ -1,14 +1,16 @@
-"""Differential tests: the incremental ``root_sequence``, the in-degree
-``is_adapted``, the integer-coded knitted ``phi``, the monotone-orientation
-embedding search, the denominator-zero ``se_window``, the indexed
-``minimal_pairs`` with its one-order memo, the one-lookup ``class_arrow_mult``
-and the one-class-per-slot ``schur_weyl_quiver`` against the slow paths they
-replaced, kept here as oracles."""
+"""Differential tests: the integer-coded incremental ``root_sequence``, the
+in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
+the monotone-orientation embedding search, the denominator-zero
+``se_window``, the indexed ``minimal_pairs`` with its one-order memo and
+shared root splits, the one-lookup ``class_arrow_mult`` and the
+one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` against the slow
+paths they replaced, kept here as oracles."""
 
 from __future__ import annotations
 
 import importlib
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -80,6 +82,21 @@ def root_sequence_oracle(t: FiniteType, word) -> tuple[tuple[int, ...], ...]:
             raise ValueError(f"word is not reduced at position {k + 1}")
         seq.append(v)
     return tuple(seq)
+
+
+def coxeter_word_oracle(q: DynkinQuiver) -> tuple[int, ...]:
+    """Source sweep on ``DynkinQuiver``: the smallest unused source of the
+    current quiver, which is then reflected at."""
+    word: list[int] = []
+    cur = q
+    for _ in q.ftype.index_set:
+        cand = sorted(v for v in cur.sources() if v not in word)
+        if not cand:
+            raise AssertionError("source sweep ran out of sources")
+        word.append(cand[0])
+        cur = cur.reflect(cand[0])
+    root_sequence_oracle(q.ftype, word)  # raises if not reduced
+    return tuple(word)
 
 
 def is_adapted_oracle(q: DynkinQuiver, word) -> bool:
@@ -183,19 +200,21 @@ def test_integer_knit_matches_the_tuple_knit(t):
         (-1 + 256, 2),  # mixed signs: (-1, 1)
         (32, 1),  # a digit past the exact range
         (-32 * 256, 2),
+        (32 * 256**70, 71),  # past the 64 bytes of the precomputed mask
         (256, 1),  # more digits than the label has
         (-(256**3), 3),
     ],
 )
 def test_unknit_rejects_codes_outside_the_exact_range(code, n):
     with pytest.raises(AssertionError, match="not a signed root"):
-        quiver._unknit(code, n)
+        rootsys._unknit(code, n)
 
 
 def test_unknit_reads_signed_labels():
-    assert quiver._unknit(2 + 256 + 31 * 256**2, 3) == (2, 1, 31)
-    assert quiver._unknit(-(2 + 256), 3) == (2, 1, 0)
-    assert quiver._unknit(0, 2) == (0, 0)
+    assert rootsys._unknit(2 + 256 + 31 * 256**2, 3) == (2, 1, 31)
+    assert rootsys._unknit(-(2 + 256), 3) == (2, 1, 0)
+    assert rootsys._unknit(0, 2) == (0, 0)
+    assert rootsys._unknit(-31 * 256**70, 71) == (0,) * 70 + (31,)
 
 
 @pytest.mark.parametrize(
@@ -228,6 +247,7 @@ def test_fast_paths_match_oracles_on_every_orientation(t):
             word = adapted_word(q, target)
             assert root_sequence(t, word) == root_sequence_oracle(t, word)
             assert is_adapted(q, word) and is_adapted_oracle(q, word)
+        assert adapted_word(q, "coxeter") == coxeter_word_oracle(q)
         # A w0 word of the opposite orientation: adapted only where a sink
         # of q is also a source, so this exercises the rejecting branch.
         other = adapted_word(q.reverse(), "w0")
@@ -285,6 +305,18 @@ def test_pairing_matches_the_dense_cartan_row(t, data):
     v = tuple(data.draw(st.integers(-3, 3)) for _ in t.index_set)
     assert pairing(t, i, v) == sum(a * x for a, x in zip(cartan_matrix(t)[i - 1], v))
     assert reflect(t, i, v) == _reflect_dense(t, i, v)
+
+
+@pytest.mark.parametrize("t", [A3, FiniteType("D", 4)], ids=["A3", "D4"])
+def test_root_sequence_matches_oracle_on_every_short_word(t):
+    """Every word of length at most 4 over the letters -1 .. N + 1: the same
+    tuples, or the same error text at the same position."""
+    letters = range(-1, t.rank + 2)
+    words = [w for k in range(5) for w in product(letters, repeat=k)]
+    outcomes = [_outcome(root_sequence, t, w) for w in words]
+    assert outcomes == [_outcome(root_sequence_oracle, t, w) for w in words]
+    errors = {o[1] for o in outcomes if o[:1] == ("ValueError",)}
+    assert any("not reduced" in e for e in errors) and any("index set" in e for e in errors)
 
 
 @pytest.mark.parametrize("i", [0, -1, -3, 4])
@@ -424,7 +456,11 @@ def minimal_pairs_oracle(order, alpha):
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
 def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
-    """Every orientation and every alpha, each asked twice (cold row, memo)."""
+    """Every orientation and every alpha, each asked twice (cold row, memo).
+    Every order of the type shares one entry of root splits, so later orders
+    read the splits earlier orders filled."""
+    quiver._order_index.cache_clear()
+    quiver._root_splits.cache_clear()
     found = 0
     for q in all_orientations(t):
         order = root_sequence(t, adapted_word(q, "w0"))
@@ -434,6 +470,22 @@ def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
                 assert type(got) is tuple and got == minimal_pairs_oracle(order, alpha)
                 found += len(got)
     assert found > 0
+    info = quiver._root_splits.cache_info()
+    assert info.misses == info.currsize == 1 and info.hits == len(all_orientations(t)) - 1
+
+
+def test_a_single_query_fills_only_its_own_splits():
+    """The first query on a root set no order has used matches the oracle
+    and fills the splits of that alpha alone."""
+    t = FiniteType("D", 6)
+    quiver._order_index.cache_clear()
+    quiver._root_splits.cache_clear()
+    order = root_sequence(t, adapted_word(all_orientations(t)[5], "w0"))
+    alpha = max(order, key=sum)
+    got = minimal_pairs(order, alpha)
+    assert got and got == minimal_pairs_oracle(order, alpha)
+    found, memo = quiver._order_index(order)[4]
+    assert len(found) == len(order) and len(memo) == 1
 
 
 COEFFS = st.sampled_from(
@@ -479,6 +531,7 @@ def order_and_alpha(draw):
 @example(([(200, 0), (44, 1), (100, 0)], (44, 1)))
 @example(([(-3, 0), (-2, 0), (-3, 1)], (-2, 0)))
 @example(([(1,), (1, 1), (0,)], (1, 1)))
+@example(([(0,), (1,)], (1,)))  # 0 + alpha = alpha, but gamma = alpha is no later root
 @given(order_and_alpha())
 def test_minimal_pairs_match_oracle_on_random_orders(case):
     order, alpha = case
@@ -523,6 +576,26 @@ def test_order_index_stays_bounded():
             minimal_pairs(order, alpha)
         assert quiver._order_index.cache_info().currsize <= maxsize
     assert quiver._order_index.cache_info().currsize == maxsize
+
+
+def test_root_splits_stay_bounded():
+    """All D7 and D8 orientations share two entries; more root sets than the
+    bound evict the oldest."""
+    quiver._order_index.cache_clear()
+    quiver._root_splits.cache_clear()
+    maxsize = quiver._root_splits.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 32
+    for t in (D7, FiniteType("D", 8)):
+        for q in all_orientations(t):
+            order = root_sequence(t, adapted_word(q, "w0"))
+            for alpha in order:
+                minimal_pairs(order, alpha)
+            assert quiver._root_splits.cache_info().currsize <= 2
+    for k in range(1, maxsize + 9):
+        order = ((k,), (2 * k + 1,), (k + 1,))
+        assert minimal_pairs(order, order[1]) == ((order[0], order[2]),)
+        assert quiver._root_splits.cache_info().currsize <= maxsize
+    assert quiver._root_splits.cache_info().currsize == maxsize
 
 
 def test_minimal_pairs_reuses_only_an_immutable_order():
@@ -650,8 +723,10 @@ def test_schur_weyl_quiver_matches_the_pairwise_classes(t):
 
 
 def test_schur_weyl_quiver_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
-    """A raw table with zeros at r but never at -r: the first slot pair that
-    meets a sign-quotient node raises the text class_arrow_mult raises."""
+    """A raw table with zeros at r but never at -r, patched in as every
+    d_{k,l} of both the per-pair lookup (class_arrow_mult, the oracle) and the
+    per-type tables (schur_weyl_quiver): the first slot pair that meets a
+    sign-quotient node raises the text class_arrow_mult raises."""
     q = all_orientations(FiniteType("D", 5))[3]
     ar = ar_quiver(q)
     sw = schur_weyl_quiver(ar, 2)
@@ -665,6 +740,7 @@ def test_schur_weyl_quiver_checks_both_ratios_at_sign_quotient_nodes(monkeypatch
     )
     asymmetric = {(zeta, m): 1 for zeta in (0, 1) for m in range(-30, 31)}
     monkeypatch.setattr(sequiver, "denominator_roots_raw", lambda g, k, l: asymmetric)
+    monkeypatch.setattr(sequiver, "_raw_tables", lambda g: lambda k, l: asymmetric)
     text = f"arrow multiplicity ill-defined between {v} and {w}"
     with pytest.raises(AssertionError) as single:
         class_arrow_mult(v, w)
@@ -673,3 +749,23 @@ def test_schur_weyl_quiver_checks_both_ratios_at_sign_quotient_nodes(monkeypatch
     with pytest.raises(AssertionError) as oracle:
         schur_weyl_quiver_oracle(ar, 2)
     assert str(single.value) == str(whole.value) == str(oracle.value) == text
+
+
+def test_schur_weyl_quiver_checks_the_later_slot_of_a_pair(monkeypatch):
+    """Here the first slot pair that meets a sign-quotient node has it only at
+    the later slot (slot 3 of a twisted A5 datum); that pair raises."""
+    q = all_orientations(FiniteType("A", 5))[2]
+    ar = ar_quiver(q)
+    sw = schur_weyl_quiver(ar, 2)
+    g = AffineType("A", 2, 5)
+    v, w = (vertex_class(g, sw.s[r], sw.X[r]) for r in (1, 3))
+    assert [has_sign_quotient(g, sw.s[r]) for r in (1, 2, 3)] == [False, False, True]
+    asymmetric = {(zeta, m): 1 for zeta in (0, 1) for m in range(-30, 31)}
+    monkeypatch.setattr(sequiver, "denominator_roots_raw", lambda g, k, l: asymmetric)
+    monkeypatch.setattr(sequiver, "_raw_tables", lambda g: lambda k, l: asymmetric)
+    with pytest.raises(AssertionError) as single:
+        class_arrow_mult(v, w)
+    with pytest.raises(AssertionError) as whole:
+        schur_weyl_quiver(ar, 2)
+    text = f"arrow multiplicity ill-defined between {v} and {w}"
+    assert str(whole.value) == str(single.value) == text
