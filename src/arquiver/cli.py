@@ -83,7 +83,10 @@ def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

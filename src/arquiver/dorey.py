@@ -6,9 +6,8 @@ embedding of an adjacent pair into an AR quiver."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .quiver import ARData, DynkinQuiver, _orientation, _w0_order, ar_quiver, minimal_pairs
+from .quiver import ARData, DynkinQuiver, _orientation, _tau_data, _w0_order, minimal_pairs
 from .rootsys import FiniteType, Root
 from .spectral import (
     AffineType,
@@ -188,9 +187,9 @@ class EmbedResult:
     positions: tuple[tuple[int, int], tuple[int, int]] | None = None
 
 
-@lru_cache(maxsize=None)
 def _ar_cached(q: DynkinQuiver) -> ARData:
-    return ar_quiver(q)
+    """Gamma_Q at height_function(q), as cached once per quiver (read only)."""
+    return _tau_data(q)[0]
 
 
 def _search_orientations(t: FiniteType) -> tuple[DynkinQuiver, ...]:

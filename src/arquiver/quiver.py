@@ -23,7 +23,6 @@ from .rootsys import (
     distance,
     positive_roots,
     root_sequence,
-    sub_roots,
 )
 
 
@@ -39,15 +38,6 @@ class DynkinQuiver:
         undirected = sorted(tuple(sorted(a)) for a in self.arrows)
         if undirected != sorted(self.ftype.edges()):
             raise ValueError("arrows do not orient the Dynkin edges exactly once each")
-
-    def sources(self) -> frozenset[int]:
-        targets = {b for _, b in self.arrows}
-        return frozenset(i for i in self.ftype.index_set if i not in targets)
-
-    def reflect(self, i: int) -> DynkinQuiver:
-        """Reverse every arrow incident to vertex i."""
-        flipped = tuple((b, a) if i in (a, b) else (a, b) for a, b in self.arrows)
-        return DynkinQuiver(self.ftype, flipped)
 
     def reverse(self) -> DynkinQuiver:
         return DynkinQuiver(self.ftype, tuple((b, a) for a, b in self.arrows))
@@ -326,32 +316,19 @@ def gamma_path_order(ar: ARData) -> ConvexPartialOrder:
     return ConvexPartialOrder(roots, frozenset(pairs))
 
 
-# Bounded like _tau_data: callers sweep one order at a time.
-@lru_cache(maxsize=8)
-def _order_index(seq: tuple[Root, ...]) -> tuple:
-    """Positions in an order and its memo of minimal-pair rows; for roots of one
-    length also an exact code per root, the code -> position map and splits."""
-    pos = {r: n for n, r in enumerate(seq)}
-    if len(pos) != len(seq):
-        raise ValueError("order contains duplicates")
-    if len(set(map(len, seq))) > 1:  # keep the truncating tuple difference
-        return pos, {}, None, None, (None, None)
+# An exact code per root of a set, and a memo, filled on request, from a code c
+# to the codes b of the set with c - b in the set and b < c - b: every order of
+# one root set (every orientation of one type) shares an entry; 32 keep a few
+# dozen types warm.
+@lru_cache(maxsize=32)
+def _root_codes(roots: frozenset[Root]) -> tuple[dict[Root, int], dict[int, tuple[int, ...]]]:
     # code(r) = sum_k r_k B^k with B = 6M + 1, M the largest |coefficient|.  With
     # d = alpha - beta - gamma each |d_k| <= 3M < B, so sum_k d_k B^k = 0 forces
     # d = 0 (reduce mod B from the lowest digit): code(alpha) - code(beta) =
     # code(gamma) exactly when beta + gamma = alpha.
-    base = 6 * max(map(abs, chain.from_iterable(seq)), default=0) + 1
-    powers = [base**k for k in range(max(map(len, seq), default=0))]
-    codes = [sum(map(operator.mul, r, powers)) for r in seq]
-    return pos, {}, codes, dict(zip(codes, range(len(seq)))), _root_splits(frozenset(codes))
-
-
-# The code set and a memo, filled on request, from a code c to the codes b of
-# the set with c - b in the set and b < c - b: every order of one root set
-# (every orientation of one type) shares it; 32 keep a few dozen types warm.
-@lru_cache(maxsize=32)
-def _root_splits(codes: frozenset[int]) -> tuple[frozenset[int], dict]:
-    return codes, {}
+    base = 6 * max(map(abs, chain.from_iterable(roots)), default=0) + 1
+    powers = [base**k for k in range(max(map(len, roots), default=0))]
+    return {r: sum(map(operator.mul, r, powers)) for r in roots}, {}
 
 
 # The last order passed that cannot change (a tuple of tuples, as
@@ -366,43 +343,43 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
 
     A pair (beta, gamma) with beta + gamma = alpha and beta < alpha < gamma is
     minimal when no other such pair nests inside the closed interval
-    [beta, gamma].  Pairs are returned with the earlier root first.  Each
-    order is indexed once; alpha's row is computed on first request from the
-    splits of alpha, shared by every order of the same root set.
+    [beta, gamma].  Pairs are returned with the earlier root first.  The roots
+    of the order must have one length.  Alpha's row comes from the splits of
+    alpha, shared by every order of the same root set.
     """
     global _last_order
-    seq, index = _last_order
-    if order is not seq:
+    held, index = _last_order
+    if order is not held:
         seq = tuple(map(tuple, order))
-        index = _order_index(seq)
+        roots = frozenset(seq)
+        if len(roots) != len(seq):
+            raise ValueError("order contains duplicates")
+        if len(set(map(len, roots))) > 1:
+            raise ValueError("order contains roots of different lengths")
+        codes, splits = _root_codes(roots)
+        index = seq, codes, {codes[r]: n for n, r in enumerate(seq)}, splits
         if type(order) is tuple and all(type(r) is tuple for r in order):
             _last_order = order, index
-    pos, rows, codes, at, (found, memo) = index
-    pa = pos.get(tuple(alpha))
-    if pa is None:
+    seq, codes, at, splits = index
+    c = codes.get(tuple(alpha))
+    if c is None:
         raise ValueError("alpha is not in the given order")
-    if pa not in rows:
-        if codes is None:
-            hits = (pos.get(sub_roots(seq[pa], b), -1) for b in seq[:pa])
-            pairs = [(pb, pg) for pb, pg in enumerate(hits) if pg > pa]
-        else:
-            c = codes[pa]
-            if c not in memo:
-                memo[c] = tuple(b for b in found if b < c - b and c - b in found)
-            pairs = []
-            for b in memo[c]:
-                pb, pg = at[b], at[c - b]
-                if pg < pb:
-                    pb, pg = pg, pb
-                if pb < pa < pg:
-                    pairs.append((pb, pg))
-            pairs.sort()
-        # Scanning from the latest beta: a pair is minimal iff its gamma comes
-        # before the gamma of every later beta.
-        out, low = [], len(seq)
-        for pb, pg in reversed(pairs):
-            if pg < low:
-                out.append((seq[pb], seq[pg]))
-                low = pg
-        rows[pa] = tuple(out[::-1])
-    return rows[pa]
+    if c not in splits:
+        splits[c] = tuple(b for b in at if b < c - b and c - b in at)
+    pa = at[c]
+    pairs = []
+    for b in splits[c]:
+        pb, pg = at[b], at[c - b]
+        if pg < pb:
+            pb, pg = pg, pb
+        if pb < pa < pg:
+            pairs.append((pb, pg))
+    pairs.sort()
+    # Scanning from the latest beta: a pair is minimal iff its gamma comes
+    # before the gamma of every later beta.
+    out, low = [], len(seq)
+    for pb, pg in reversed(pairs):
+        if pg < low:
+            out.append((seq[pb], seq[pg]))
+            low = pg
+    return tuple(out[::-1])

@@ -227,10 +227,6 @@ def add_roots(a: Root, b: Root) -> Root:
     return tuple(map(operator.add, a, b))
 
 
-def sub_roots(a: Root, b: Root) -> Root:
-    return tuple(map(operator.sub, a, b))
-
-
 def is_convex(t: FiniteType, order: Sequence[Root]) -> bool:
     """Whether a total order on the positive roots is convex.
 

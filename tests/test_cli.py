@@ -199,6 +199,24 @@ def test_output_to_file(tmp_path):
     assert target.read_text().endswith('"mult":1}]}\n')
 
 
+def _assert_cannot_write(target, reason):
+    res = run_cli("denominator", "--g", "A1", "--n", "3", "--k", "1", "--l", "1",
+                  "--out", str(target))
+    assert res.returncode == 2
+    assert res.stdout == ""
+    error, timing = res.stderr.splitlines()
+    assert error == f"error: cannot write --out {target}: {reason}"
+    assert timing.startswith("# denominator ") and timing.endswith("ms")
+
+
+def test_output_to_a_missing_directory_exits_2(tmp_path):
+    _assert_cannot_write(tmp_path / "missing" / "out.json", "No such file or directory")
+
+
+def test_output_to_a_directory_exits_2(tmp_path):
+    _assert_cannot_write(tmp_path, "Is a directory")
+
+
 def test_output_is_deterministic():
     argv = ("se-quiver", "--g", "D2", "--n", "4", "--se0", "--bound", "3")
     assert run_cli(*argv).stdout == run_cli(*argv).stdout

@@ -1,14 +1,17 @@
 """Differential tests: the integer-coded incremental ``root_sequence``, the
 in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
 the monotone-orientation embedding search, the denominator-zero
-``se_window``, the indexed ``minimal_pairs`` with its one-order memo and
-shared root splits, the one-lookup ``class_arrow_mult`` and the
-one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` against the slow
-paths they replaced, kept here as oracles."""
+``se_window``, the code-indexed ``minimal_pairs`` with its one-order memo and
+root codes and splits shared per root set, the one-lookup ``class_arrow_mult``
+and the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` against the
+slow paths they replaced, kept here as oracles.  The quiver reflection
+(``quiver_sources``, ``quiver_reflect``) and root subtraction those oracles
+use live here too: no library path needs them."""
 
 from __future__ import annotations
 
 import importlib
+import operator
 from functools import cache
 from itertools import product
 
@@ -29,6 +32,7 @@ from arquiver.quiver import (
 )
 from arquiver.rootsys import (
     FiniteType,
+    add_roots,
     apply_word,
     cartan_matrix,
     neighbors,
@@ -37,7 +41,6 @@ from arquiver.rootsys import (
     reflect,
     root_sequence,
     simple_root,
-    sub_roots,
 )
 from arquiver.sequiver import (
     LabeledQuiver,
@@ -84,17 +87,40 @@ def root_sequence_oracle(t: FiniteType, word) -> tuple[tuple[int, ...], ...]:
     return tuple(seq)
 
 
+def quiver_sources(q: DynkinQuiver) -> frozenset[int]:
+    targets = {b for _, b in q.arrows}
+    return frozenset(i for i in q.ftype.index_set if i not in targets)
+
+
+def quiver_reflect(q: DynkinQuiver, i: int) -> DynkinQuiver:
+    """Reverse every arrow incident to vertex i."""
+    flipped = tuple((b, a) if i in (a, b) else (a, b) for a, b in q.arrows)
+    return DynkinQuiver(q.ftype, flipped)
+
+
+def test_quiver_sources_and_reflect():
+    lin3 = DynkinQuiver(A3, ((1, 2), (2, 3)))
+    assert quiver_sources(lin3) == frozenset({1})
+    assert quiver_sources(DynkinQuiver(A3, ((2, 1), (2, 3)))) == frozenset({2})
+    assert quiver_reflect(lin3, 1).arrows == ((2, 1), (2, 3))
+    assert quiver_reflect(quiver_reflect(lin3, 1), 1) == lin3
+
+
+def sub_roots(a, b):
+    return tuple(map(operator.sub, a, b))
+
+
 def coxeter_word_oracle(q: DynkinQuiver) -> tuple[int, ...]:
     """Source sweep on ``DynkinQuiver``: the smallest unused source of the
     current quiver, which is then reflected at."""
     word: list[int] = []
     cur = q
     for _ in q.ftype.index_set:
-        cand = sorted(v for v in cur.sources() if v not in word)
+        cand = sorted(v for v in quiver_sources(cur) if v not in word)
         if not cand:
             raise AssertionError("source sweep ran out of sources")
         word.append(cand[0])
-        cur = cur.reflect(cand[0])
+        cur = quiver_reflect(cur, cand[0])
     root_sequence_oracle(q.ftype, word)  # raises if not reduced
     return tuple(word)
 
@@ -103,9 +129,9 @@ def is_adapted_oracle(q: DynkinQuiver, word) -> bool:
     """Replay on ``DynkinQuiver``: each letter a source of the current quiver."""
     cur = q
     for letter in word:
-        if letter not in cur.sources():
+        if letter not in quiver_sources(cur):
             return False
-        cur = cur.reflect(letter)
+        cur = quiver_reflect(cur, letter)
     return True
 
 
@@ -293,9 +319,9 @@ def test_is_adapted_matches_oracle_on_source_sequences(data, t):
         if data.draw(st.integers(0, 9)) == 0:
             word.append(data.draw(st.integers(1, t.rank)))
             break
-        letter = data.draw(st.sampled_from(sorted(cur.sources())))
+        letter = data.draw(st.sampled_from(sorted(quiver_sources(cur))))
         word.append(letter)
-        cur = cur.reflect(letter)
+        cur = quiver_reflect(cur, letter)
     assert is_adapted(q, word) == is_adapted_oracle(q, word)
 
 
@@ -335,7 +361,7 @@ def test_vertices_outside_the_index_set_raise(i):
 def test_is_adapted_rejects_vertices_outside_the_index_set(i):
     for q in all_orientations(A3):
         assert not is_adapted(q, (i,))
-        source = min(q.sources())
+        source = min(quiver_sources(q))
         assert not is_adapted(q, (source, i))
 
 
@@ -434,6 +460,8 @@ def minimal_pairs_oracle(order, alpha):
     pos = {r: n for n, r in enumerate(seq)}
     if len(pos) != len(seq):
         raise ValueError("order contains duplicates")
+    if len({len(r) for r in seq}) > 1:
+        raise ValueError("order contains roots of different lengths")
     alpha = tuple(alpha)
     if alpha not in pos:
         raise ValueError("alpha is not in the given order")
@@ -456,11 +484,10 @@ def minimal_pairs_oracle(order, alpha):
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
 def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
-    """Every orientation and every alpha, each asked twice (cold row, memo).
-    Every order of the type shares one entry of root splits, so later orders
-    read the splits earlier orders filled."""
-    quiver._order_index.cache_clear()
-    quiver._root_splits.cache_clear()
+    """Every orientation and every alpha, each asked twice (cold splits,
+    filled splits).  Every order of the type shares one entry of root codes
+    and splits, so later orders read the splits earlier orders filled."""
+    quiver._root_codes.cache_clear()
     found = 0
     for q in all_orientations(t):
         order = root_sequence(t, adapted_word(q, "w0"))
@@ -470,7 +497,7 @@ def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
                 assert type(got) is tuple and got == minimal_pairs_oracle(order, alpha)
                 found += len(got)
     assert found > 0
-    info = quiver._root_splits.cache_info()
+    info = quiver._root_codes.cache_info()
     assert info.misses == info.currsize == 1 and info.hits == len(all_orientations(t)) - 1
 
 
@@ -478,14 +505,13 @@ def test_a_single_query_fills_only_its_own_splits():
     """The first query on a root set no order has used matches the oracle
     and fills the splits of that alpha alone."""
     t = FiniteType("D", 6)
-    quiver._order_index.cache_clear()
-    quiver._root_splits.cache_clear()
+    quiver._root_codes.cache_clear()
     order = root_sequence(t, adapted_word(all_orientations(t)[5], "w0"))
     alpha = max(order, key=sum)
     got = minimal_pairs(order, alpha)
     assert got and got == minimal_pairs_oracle(order, alpha)
-    found, memo = quiver._order_index(order)[4]
-    assert len(found) == len(order) and len(memo) == 1
+    codes, splits = quiver._root_codes(frozenset(order))
+    assert len(codes) == len(order) and len(splits) == 1
 
 
 COEFFS = st.sampled_from(
@@ -508,7 +534,7 @@ def order_and_alpha(draw):
         width = draw(st.integers(1, 4))
         vec = st.lists(draw(COEFFS), min_size=width, max_size=width).map(tuple)
         base = draw(st.lists(vec, max_size=8, unique=True))
-        sums = {sub_roots(a, tuple(-c for c in b)) for a in base for b in base if a < b}
+        sums = {add_roots(a, b) for a in base for b in base if a < b}
         order = draw(st.permutations(sorted(set(base) | sums)))
     order = list(order)
     if order and draw(st.integers(0, 9)) == 0:
@@ -527,7 +553,7 @@ def order_and_alpha(draw):
 # Hand-made orders where a wrong code would find a pair: coefficients past
 # one byte (base-256 digits carry: 200 + 100 = 300 = 44 + 256), a base too
 # small for the coefficient range ((-3, 1) - (-3, 0) would code like (-2, 0)
-# at B = 4), and roots of two lengths, subtracted by truncation.
+# at B = 4), and roots of two lengths, which both reject.
 @example(([(200, 0), (44, 1), (100, 0)], (44, 1)))
 @example(([(-3, 0), (-2, 0), (-3, 1)], (-2, 0)))
 @example(([(1,), (1, 1), (0,)], (1, 1)))
@@ -536,6 +562,21 @@ def order_and_alpha(draw):
 def test_minimal_pairs_match_oracle_on_random_orders(case):
     order, alpha = case
     assert _outcome(minimal_pairs, order, alpha) == _outcome(minimal_pairs_oracle, order, alpha)
+
+
+def test_minimal_pairs_check_duplicates_then_lengths_then_alpha():
+    """Orders whose roots differ in length are rejected, by both paths, after
+    the duplicate check and before alpha is looked up."""
+    mixed = ((1,), (1, 1), (0,))
+    cases = (
+        (mixed + ((1,),), (9, 9), "order contains duplicates"),
+        (mixed, (1, 1), "order contains roots of different lengths"),
+        (list(mixed), (9,), "order contains roots of different lengths"),
+        (((1, 1), (0, 1)), (1,), "alpha is not in the given order"),
+    )
+    for order, alpha, message in cases:
+        for f in (minimal_pairs, minimal_pairs_oracle):
+            assert _outcome(f, order, alpha) == ("ValueError", message)
 
 
 D7 = FiniteType("D", 7)
@@ -566,36 +607,23 @@ def test_minimal_pair_triples_reuse_one_w0_order(monkeypatch):
     assert calls == [adapted_word(q, "w0")]
 
 
-def test_order_index_stays_bounded():
-    quiver._order_index.cache_clear()
-    maxsize = quiver._order_index.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 8
-    for q in all_orientations(D7):
-        order = root_sequence(D7, adapted_word(q, "w0"))
-        for alpha in order:
-            minimal_pairs(order, alpha)
-        assert quiver._order_index.cache_info().currsize <= maxsize
-    assert quiver._order_index.cache_info().currsize == maxsize
-
-
 def test_root_splits_stay_bounded():
     """All D7 and D8 orientations share two entries; more root sets than the
     bound evict the oldest."""
-    quiver._order_index.cache_clear()
-    quiver._root_splits.cache_clear()
-    maxsize = quiver._root_splits.cache_info().maxsize
+    quiver._root_codes.cache_clear()
+    maxsize = quiver._root_codes.cache_info().maxsize
     assert maxsize is not None and maxsize >= 32
     for t in (D7, FiniteType("D", 8)):
         for q in all_orientations(t):
             order = root_sequence(t, adapted_word(q, "w0"))
             for alpha in order:
                 minimal_pairs(order, alpha)
-            assert quiver._root_splits.cache_info().currsize <= 2
+            assert quiver._root_codes.cache_info().currsize <= 2
     for k in range(1, maxsize + 9):
         order = ((k,), (2 * k + 1,), (k + 1,))
         assert minimal_pairs(order, order[1]) == ((order[0], order[2]),)
-        assert quiver._root_splits.cache_info().currsize <= maxsize
-    assert quiver._root_splits.cache_info().currsize == maxsize
+        assert quiver._root_codes.cache_info().currsize <= maxsize
+    assert quiver._root_codes.cache_info().currsize == maxsize
 
 
 def test_minimal_pairs_reuses_only_an_immutable_order():
