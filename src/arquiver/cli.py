@@ -10,20 +10,20 @@ import re
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .dorey import DoreyTriple, dorey, embed_pair_in_AR, multiple_pole_class
-from .quiver import DynkinQuiver, _w0_order, adapted_word, ar_quiver, height_function, minimal_pairs
-from .rootsys import FiniteType, format_root
-from .sequiver import schur_weyl_quiver, se0_seed, se_window, vertex_class
-from .spectral import AffineType, SpectralParam, denominator
+# Each handler imports the library modules it runs, so a query loads only those.
+if TYPE_CHECKING:
+    from .quiver import DynkinQuiver
+    from .rootsys import FiniteType
+    from .spectral import AffineType, SpectralParam
 
 _ARROW_RE = re.compile(r"(\d+)>(\d+)")
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)")
 # Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 1 s (D128:
-# 5.4 s); se-quiver at N = 16, bound 32 and every parity lattice seeded about 4 s;
-# embed-pair at D1 N = 64 about 0.9 s (N = 128: 5.8 s); denominator and dorey,
-# linear in N, under 0.2 s at N = 4096.
+# 5.4 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.3-1.4 s
+# (D1 slowest); embed-pair at D1 N = 64 about 0.9 s (N = 128: 5.8 s); denominator
+# and dorey, linear in N, under 0.2 s at N = 4096.
 _MAX_RANK, _MAX_BOUND = 64, 32
 _MAX_N = {"denominator": 4096, "se-quiver": 16, "dorey": 4096, "embed-pair": 64}
 
@@ -35,14 +35,17 @@ def _capped(option: str, value: int, cap: int) -> int:
 
 
 def _parse_ftype(args: argparse.Namespace) -> FiniteType:
+    from .rootsys import FiniteType
     return FiniteType(args.type, _capped("rank", args.rank, _MAX_RANK))
 
 
 def _parse_affine(args: argparse.Namespace) -> AffineType:
+    from .spectral import AffineType
     return AffineType.from_code(args.g, _capped("n", args.n, _MAX_N[args.command]))
 
 
 def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
+    from .quiver import DynkinQuiver
     arrows = []
     for part in text.split(","):
         m = _ARROW_RE.fullmatch(part.strip())
@@ -53,6 +56,7 @@ def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
 
 
 def _parse_base(q: DynkinQuiver, text: str | None) -> dict[int, int]:
+    from .quiver import height_function
     if text is None:
         return height_function(q)
     m = _BASE_RE.fullmatch(text.strip())
@@ -62,6 +66,7 @@ def _parse_base(q: DynkinQuiver, text: str | None) -> dict[int, int]:
 
 
 def _parse_vertex(text: str) -> tuple[int, SpectralParam]:
+    from .spectral import SpectralParam
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError(f"bad vertex {text!r}; expected 'i:param'")
@@ -128,6 +133,8 @@ def _emit_quiver(
 
 
 def _cmd_ar_quiver(args: argparse.Namespace) -> int:
+    from .quiver import ar_quiver
+    from .rootsys import format_root
     q = _parse_orientation(_parse_ftype(args), args.orientation)
     ar = ar_quiver(q, _parse_base(q, args.base))
     vertices = [
@@ -141,6 +148,7 @@ def _cmd_ar_quiver(args: argparse.Namespace) -> int:
 
 
 def _cmd_convex_order(args: argparse.Namespace) -> int:
+    from .quiver import _w0_order, adapted_word
     t = _parse_ftype(args)
     q = _parse_orientation(t, args.orientation)
     word, seq = adapted_word(q, "w0"), _w0_order(q)
@@ -149,6 +157,7 @@ def _cmd_convex_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimal_pairs(args: argparse.Namespace) -> int:
+    from .quiver import _w0_order, minimal_pairs
     t = _parse_ftype(args)
     q = _parse_orientation(t, args.orientation)
     alpha = _parse_root(t, args.root)
@@ -168,6 +177,7 @@ def _cmd_minimal_pairs(args: argparse.Namespace) -> int:
 
 
 def _cmd_denominator(args: argparse.Namespace) -> int:
+    from .spectral import denominator
     g = _parse_affine(args)
     d = denominator(g, args.k, args.l)
     _emit(
@@ -188,6 +198,7 @@ def _cmd_denominator(args: argparse.Namespace) -> int:
 
 
 def _cmd_se_quiver(args: argparse.Namespace) -> int:
+    from .sequiver import se0_seed, se_window, vertex_class
     g = _parse_affine(args)
     bound = _capped("bound", args.bound, _MAX_BOUND) if args.bound is not None else 2 * g.N
     if args.se0:
@@ -202,6 +213,8 @@ def _cmd_se_quiver(args: argparse.Namespace) -> int:
 
 
 def _cmd_schur_weyl(args: argparse.Namespace) -> int:
+    from .quiver import ar_quiver
+    from .sequiver import schur_weyl_quiver
     q = _parse_orientation(_parse_ftype(args), args.orientation)
     ar = ar_quiver(q, _parse_base(q, args.base))
     sw = schur_weyl_quiver(ar, args.t)
@@ -210,6 +223,7 @@ def _cmd_schur_weyl(args: argparse.Namespace) -> int:
 
 
 def _cmd_dorey(args: argparse.Namespace) -> int:
+    from .dorey import DoreyTriple, dorey, multiple_pole_class
     g = _parse_affine(args)
     triple = DoreyTriple(
         g, _parse_vertex(args.a), _parse_vertex(args.b), _parse_vertex(args.c)
@@ -226,6 +240,8 @@ def _cmd_dorey(args: argparse.Namespace) -> int:
 
 
 def _cmd_embed_pair(args: argparse.Namespace) -> int:
+    from .dorey import embed_pair_in_AR
+    from .sequiver import vertex_class
     g = _parse_affine(args)
     v = vertex_class(g, *_parse_vertex(args.v))
     w = vertex_class(g, *_parse_vertex(args.w))
@@ -246,7 +262,6 @@ def _cmd_embed_pair(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .verify import run_all
-
     names = [args.check] if args.check else None
     failed = False
     for report in run_all(names):

@@ -6,11 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .quiver import ARData
 from .rootsys import distance, simple_root
 from .spectral import AffineType, SpectralParam, _raw_tables, denominator_roots_raw
+
+if TYPE_CHECKING:
+    from .quiver import ARData
 
 
 def has_sign_quotient(g: AffineType, i: int) -> bool:
@@ -56,13 +58,15 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
     if v.g != w.g:
         raise ValueError("vertices belong to different affine types")
     quotient = has_sign_quotient(v.g, v.i) or has_sign_quotient(v.g, w.i)
-    return _arrow_mult(v, w, denominator_roots_raw(v.g, v.i, w.i), quotient)
+    roots = denominator_roots_raw(v.g, v.i, w.i)
+    return _arrow_mult(roots, w.x.zeta - v.x.zeta, w.x.m - v.x.m, quotient, v, w)
 
 
-def _arrow_mult(v: SeVertex, w: SeVertex, roots, quotient: bool) -> int:
-    """class_arrow_mult given the raw table of d_{v.i,w.i} and whether v or w
-    is a sign-quotient node: one lookup, and one more at quotient nodes."""
-    zeta, m = (w.x.zeta - v.x.zeta) % 4, w.x.m - v.x.m
+def _arrow_mult(roots, zeta: int, m: int, quotient: bool, v: object, w: object) -> int:
+    """class_arrow_mult of v = (i, x) and w = (j, x * i^zeta q^m) from the raw table of
+    d_{i,j} and whether v or w is a sign-quotient node: one lookup, and one more
+    at quotient nodes.  v and w only name the classes in the error."""
+    zeta %= 4
     mult = roots.get((zeta, m), 0)
     # The representative pairs give the ratios r and -r iff v or w is a sign-quotient node.
     if quotient and roots.get(((zeta + 2) % 4, m), 0) != mult:
@@ -215,19 +219,27 @@ def se_window(
     seeds' parity lattices, with arrow multiplicities from zero orders.  The
     arrows out of (i, x) go to the classes (j, x * r), r a zero of d_{i,j}."""
     order = _lattice_classes(g, seeds, power_bound)
-    pos = {v: n for n, v in enumerate(order)}
-    verts = tuple((str(v), str(v)) for v in order)
+    # Each class as the integer key (i, zeta, m) of its canonical representative.
+    keys = [(v.i, v.x.zeta, v.x.m) for v in order]
+    pos = {key: n for n, key in enumerate(keys)}
+    labels = [str(v) for v in order]
+    raw, quotient = _raw_tables(g), {j: has_sign_quotient(g, j) for j in g.index_set}
     arrows = []
-    for v in order:
-        heads = {
-            vertex_class(g, j, v.x * SpectralParam(zeta, m))
-            for j in g.index_set
-            for zeta, m in denominator_roots_raw(g, v.i, j)
-        }
-        heads.discard(v)
-        for w in sorted(heads & pos.keys(), key=pos.__getitem__):
-            arrows.append((str(v), str(w), class_arrow_mult(v, w)))
-    return LabeledQuiver(verts, tuple(arrows)), order
+    for n, (i, zeta, m) in enumerate(keys):
+        heads = set()
+        for j in g.index_set:
+            for dz, dm in raw(i, j):
+                hz = (zeta + dz) % 4
+                # A sign-quotient class is keyed by its representative with zeta < 2.
+                p = pos.get((j, hz - 2 if quotient[j] and hz >= 2 else hz, m + dm))
+                if p is not None and p != n:
+                    heads.add(p)
+        for p in sorted(heads):
+            j, hz, hm = keys[p]
+            quot = quotient[i] or quotient[j]
+            mult = _arrow_mult(raw(i, j), hz - zeta, hm - m, quot, labels[n], labels[p])
+            arrows.append((labels[n], labels[p], mult))
+    return LabeledQuiver(tuple(zip(labels, labels)), tuple(arrows)), order
 
 
 def se0_window(g: AffineType, power_bound: int) -> tuple[SeVertex, ...]:
@@ -265,7 +277,10 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
     raw = _raw_tables(g1 if t == 1 else g1.partner())
     quotient = {r: has_sign_quotient(v.g, v.i) for r, v in slot.items()}
     dmat = {
-        (a, b): _arrow_mult(va, vb, raw(va.i, vb.i), quotient[a] or quotient[b])
+        (a, b): _arrow_mult(
+            raw(va.i, vb.i), vb.x.zeta - va.x.zeta, vb.x.m - va.x.m,
+            quotient[a] or quotient[b], va, vb,
+        )
         for a, va in slot.items() for b, vb in slot.items() if a != b
     }
     s_map = {r: v.i for r, v in slot.items()}

@@ -18,6 +18,7 @@ from .dorey import (
 )
 from .quiver import (
     DynkinQuiver,
+    _w0_order,
     adapted_word,
     all_orientations,
     ar_quiver,
@@ -372,7 +373,10 @@ def _check_minimal_pairs_dorey() -> str | None:
         allowed = {"A-i", "A-ii"} if t.family == "A" else {"D-i", "D-iii"}
         for q in all_orientations(t):
             ar = ar_quiver(q)
-            order = root_sequence(t, adapted_word(q, "w0"))
+            # The order minimal_pair_triple reads: the one-order memo then holds.
+            order = _w0_order(q)
+            if order != root_sequence(t, adapted_word(q, "w0")):
+                return f"{t.family}{t.rank} {q.arrows}: w0 order is not its word's root sequence"
             for alpha in order:
                 for pair in minimal_pairs(order, alpha):
                     try:

@@ -1,0 +1,119 @@
+"""What a fresh interpreter loads: ``import arquiver`` resolves its public
+names lazily, and each CLI subcommand loads only the library modules its
+handler runs.  Each test runs in its own interpreter, because the test
+session has long since imported every module."""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+# Prints the loaded arquiver submodules as the last line of stdout.
+_LOADED = (
+    "import json, sys\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('arquiver.'))))\n"
+)
+
+
+def _last_line(code: str):
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert _last_line("import arquiver\n" + _LOADED) == []
+
+
+def test_every_exported_name_is_the_attribute_of_its_submodule():
+    code = (
+        "import importlib, json, arquiver\n"
+        "bad = []\n"
+        "for name in arquiver.__all__:\n"
+        "    ns = {}\n"
+        "    exec(f'from arquiver import {name}', ns)\n"
+        "    # Root is a type alias, whose __module__ is builtins.\n"
+        "    home = 'arquiver.rootsys' if name == 'Root' else ns[name].__module__\n"
+        "    if ns[name] is not getattr(importlib.import_module(home), name):\n"
+        "        bad.append(name)\n"
+        "print(json.dumps(bad))\n"
+    )
+    assert _last_line(code) == []
+
+
+DOREY_ARGV = ["dorey", "--g", "A1", "--n", "3", "--a", "1:q^0", "--b", "1:q^2", "--c", "2:q^1"]
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "from arquiver import dorey",
+        "import importlib; importlib.import_module('arquiver.dorey')",
+        "from arquiver import verify",
+        f"from arquiver.cli import main; main({DOREY_ARGV!r})",
+    ],
+    ids=["name", "import_module", "verify", "cli_handler"],
+)
+def test_dorey_stays_the_function_in_every_import_order(first):
+    """The package binds the submodule ``arquiver.dorey`` under the name of
+    its public function; the function must win whichever comes first."""
+    code = (
+        f"{first}\n"
+        "import json, sys, arquiver\n"
+        "from arquiver import dorey\n"
+        "fn = sys.modules['arquiver.dorey'].dorey\n"
+        "print(json.dumps([dorey is fn, arquiver.dorey is fn]))\n"
+    )
+    assert _last_line(code) == [True, True]
+
+
+QUIVER = ["arquiver.quiver", "arquiver.rootsys"]
+SPECTRAL = ["arquiver.rootsys", "arquiver.spectral"]
+SEQUIVER = ["arquiver.rootsys", "arquiver.sequiver", "arquiver.spectral"]
+ALL_BUT_VERIFY = [
+    "arquiver.dorey", "arquiver.quiver", "arquiver.rootsys", "arquiver.sequiver",
+    "arquiver.spectral",
+]
+A3 = ["--type", "A", "--rank", "3", "--orientation", "1>2,3>2"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        pytest.param(["ar-quiver", *A3], QUIVER, id="ar-quiver"),
+        pytest.param(["convex-order", *A3], QUIVER, id="convex-order"),
+        pytest.param(["minimal-pairs", *A3, "--root", "1,1,0"], QUIVER, id="minimal-pairs"),
+        pytest.param(
+            ["denominator", "--g", "A1", "--n", "3", "--k", "1", "--l", "1"],
+            SPECTRAL,
+            id="denominator",
+        ),
+        pytest.param(
+            ["se-quiver", "--g", "D2", "--n", "4", "--se0", "--bound", "3"],
+            SEQUIVER,
+            id="se-quiver",
+        ),
+        pytest.param(["schur-weyl", *A3, "--t", "2"], QUIVER + SEQUIVER[1:], id="schur-weyl"),
+        pytest.param(DOREY_ARGV, ALL_BUT_VERIFY, id="dorey"),
+        pytest.param(
+            ["embed-pair", "--g", "A1", "--n", "2", "--v", "1:q^0", "--w", "2:q^1"],
+            ALL_BUT_VERIFY,
+            id="embed-pair",
+        ),
+        pytest.param(["denominator", "--g", "A1"], [], id="argparse-error"),
+    ],
+)
+def test_subcommand_loads_only_its_modules(argv, modules):
+    """A later top-level import in cli.py or in a library module would show
+    here as an extra module.  The last case is an argparse error."""
+    code = (
+        "from arquiver.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit:\n"
+        "    pass\n" + _LOADED
+    )
+    assert _last_line(code) == sorted(["arquiver.cli", *modules])

@@ -1,6 +1,6 @@
 """Differential tests: the integer-coded incremental ``root_sequence``, the
 in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
-the monotone-orientation embedding search, the denominator-zero
+the monotone-orientation embedding search, the integer-keyed
 ``se_window``, the code-indexed ``minimal_pairs`` with its one-order memo and
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``
 and the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` against the
@@ -443,14 +443,36 @@ SE_TYPES = tuple(
 @pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")
 def test_se_window_matches_the_pairwise_scan(g):
     top = g.index_set[-1]
-    seed_sets = (
-        [se0_seed(g)],
-        [vertex_class(g, top, SpectralParam(0, 1))],
-        [vertex_class(g, top, SpectralParam(0, 1)), vertex_class(g, 1, SpectralParam(1, 0))],
-    )
-    for seeds in seed_sets:
-        for bound in (0, 3, 2 * g.N):
+    seed_sets = [
+        ([se0_seed(g)], (0, 3, 2 * g.N)),
+        ([vertex_class(g, top, SpectralParam(0, 1))], (0, 3, 2 * g.N)),
+        (
+            [vertex_class(g, top, SpectralParam(0, 1)), vertex_class(g, 1, SpectralParam(1, 0))],
+            (0, 3, 2 * g.N),
+        ),
+    ]
+    # Twisted D index 1 and the middle index of twisted A, N odd: a seed with
+    # zeta >= 2 at a sign-quotient node, whose class keeps the negated parameter.
+    node = next((i for i in g.index_set if has_sign_quotient(g, i)), None)
+    if node is not None:
+        seed_sets.append(([vertex_class(g, node, SpectralParam(3, 1))], (5, 2 * g.N + 1)))
+    for seeds, bounds in seed_sets:
+        for bound in bounds:
             assert se_window(g, seeds, bound) == se_window_oracle(g, seeds, bound), (seeds, bound)
+
+
+def test_se_window_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
+    """Tables with the zero -q^2 but not q^2: from (1, x) at the quotient node
+    1 the zero lands on (1, -x q^2), stored as (1, x q^2), so the window must
+    canonicalise the head to find that arrow and raise, as the oracle does."""
+    g = AffineType("D", 2, 5)
+    table = {(2, 2): 1}
+    monkeypatch.setattr(sequiver, "_raw_tables", lambda g: lambda k, l: table)
+    monkeypatch.setattr(sequiver, "denominator_roots_raw", lambda g, k, l: table)
+    seeds = [vertex_class(g, 1, SpectralParam.one())]
+    for window in (se_window, se_window_oracle):
+        with pytest.raises(AssertionError, match="ill-defined"):
+            window(g, seeds, 3)
 
 
 def minimal_pairs_oracle(order, alpha):
