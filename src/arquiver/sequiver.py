@@ -63,9 +63,9 @@ def class_arrow_mult(v: SeVertex, w: SeVertex) -> int:
 
 
 def _arrow_mult(roots, zeta: int, m: int, quotient: bool, v: object, w: object) -> int:
-    """class_arrow_mult of v = (i, x) and w = (j, x * i^zeta q^m) from the raw table of
-    d_{i,j} and whether v or w is a sign-quotient node: one lookup, and one more
-    at quotient nodes.  v and w only name the classes in the error."""
+    """class_arrow_mult of v = (k, x) and w = (l, y) from the raw table of d_{k,l},
+    the ratio y / x as (zeta, m) and whether v or w is a sign-quotient node: one
+    lookup, and one more at quotient nodes.  v and w only name them in the error."""
     zeta %= 4
     mult = roots.get((zeta, m), 0)
     # The representative pairs give the ratios r and -r iff v or w is a sign-quotient node.
