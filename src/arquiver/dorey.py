@@ -210,6 +210,8 @@ def embed_pair_in_AR(g1: AffineType, v: SeVertex, w: SeVertex) -> EmbedResult:
     AR-quiver positions."""
     if g1.twist != 1:
         raise ValueError("embed_pair_in_AR expects an untwisted type")
+    if v.g != g1 or w.g != g1:
+        raise ValueError("vertices belong to different affine types")
     if dual_point(g1, v.i, v.x) == (w.i, w.x) or right_dual_point(g1, v.i, v.x) == (w.i, w.x):
         return EmbedResult(False, "dual pair")
     ratio = w.x / v.x
@@ -221,15 +223,14 @@ def embed_pair_in_AR(g1: AffineType, v: SeVertex, w: SeVertex) -> EmbedResult:
     t = g1.classical()
     for q in _search_orientations(t):
         ar = _ar_cached(q)
-        xi = ar.height
-        for s in range(xi[v.i] - 2 * ar.m[v.i], xi[v.i] + 1, 2):
-            pos_w = s + e
-            if not xi[w.i] - 2 * ar.m[w.i] <= pos_w <= xi[w.i]:
-                continue
-            if (pos_w - xi[w.i]) % 2 != 0:
-                continue
-            shift = v.x / SpectralParam.minus_q_power(s)
-            assert (v.i, s) in ar.gamma_vertices and (w.i, pos_w) in ar.gamma_vertices
-            assert shift * SpectralParam.minus_q_power(pos_w) == w.x
-            return EmbedResult(True, None, q, dict(xi), shift, ((v.i, s), (w.i, pos_w)))
+        xi, m = ar.height, ar.m
+        # Row i of Gamma_Q holds (i, s) for s = xi_i - 2 m_i, ..., xi_i in steps of 2:
+        # the lowest s with v at (v.i, s) and w at (w.i, s + e).
+        s = max(xi[v.i] - 2 * m[v.i], xi[w.i] - 2 * m[w.i] - e)
+        if (s - xi[v.i]) % 2 or (s + e - xi[w.i]) % 2 or s > min(xi[v.i], xi[w.i] - e):
+            continue
+        shift = v.x / SpectralParam.minus_q_power(s)
+        assert (v.i, s) in ar.gamma_vertices and (w.i, s + e) in ar.gamma_vertices
+        assert shift * SpectralParam.minus_q_power(s + e) == w.x
+        return EmbedResult(True, None, q, dict(xi), shift, ((v.i, s), (w.i, s + e)))
     raise AssertionError(f"no AR-quiver embedding found for {v} and {w}")

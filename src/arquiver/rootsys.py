@@ -126,20 +126,16 @@ def reflect(t: FiniteType, i: int, v: Root) -> Root:
 
 @lru_cache(maxsize=None)
 def positive_roots(t: FiniteType) -> frozenset[Root]:
-    """All positive roots, generated by reflection closure from the simples."""
-    found: set[Root] = {simple_root(t, i) for i in t.index_set}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in t.index_set:
-                w = reflect(t, i, v)
-                if w not in found and all(c >= 0 for c in w):
-                    found.add(w)
-                    nxt.append(w)
-        frontier = nxt
+    """All positive roots: the root sequence of a reduced w0 word lists its
+    inversion set, which is all of them, once each.  The word is
+    (1)(2 1)...(N ... 1) on A_N and (1 2 ... N)^(N-1) on D_N."""
+    if t.family == "A":
+        word = tuple(i for k in t.index_set for i in range(k, 0, -1))
+    else:
+        word = tuple(t.index_set) * (t.rank - 1)
+    found = frozenset(root_sequence(t, word))
     assert len(found) == t.num_positive_roots()
-    return frozenset(found)
+    return found
 
 
 def apply_word(t: FiniteType, word: Sequence[int], v: Root) -> Root:
@@ -194,12 +190,14 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
 
 def _w0_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...] | None:
     """The word's root sequence when it is a reduced expression of the longest
-    element, else None."""
+    element, else None: w0 is the only element whose reduced words have
+    |Phi+| letters, and root_sequence raises on a word that is not reduced."""
+    if len(word) != t.num_positive_roots():
+        return None
     try:
-        seq = root_sequence(t, word)
+        return root_sequence(t, word)
     except ValueError:
         return None
-    return seq if set(seq) == positive_roots(t) else None
 
 
 def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:

@@ -101,29 +101,27 @@ def pi(g1: AffineType, i: int, x: SpectralParam) -> SeVertex:
     """The 2:1 fold of an untwisted spectral point onto its twisted partner."""
     if g1.twist != 1:
         raise ValueError("pi folds untwisted points; got a twisted type")
+    if not 1 <= i <= g1.N:
+        raise ValueError(f"index {i} out of range for {g1.code} N={g1.N}")
     j, power = _pi_index_mult(g1, i)
     return vertex_class(g1.partner(), j, x.times_i_power(power))
 
 
 @lru_cache(maxsize=65536)
 def pi_preimages(v: SeVertex) -> tuple[tuple[int, SpectralParam], ...]:
-    """Both untwisted points folding onto the class v, in sorted order."""
+    """Both untwisted points folding onto the class v, in sorted order: each
+    index a folding onto v.i, with each member of v divided by a's i-power
+    (two indices at one member, or one index at two members)."""
     g2 = v.g
     if g2.twist != 2:
         raise ValueError("pi_preimages expects a twisted-type vertex")
     g1 = g2.partner()
-    found: set[tuple[int, tuple[int, int]]] = set()
+    fibre = []
     for a in g1.index_set:
         j, power = _pi_index_mult(g1, a)
-        if j != v.i:
-            continue
-        for w in v.members():
-            y = w.times_i_power(-power)
-            if pi(g1, a, y) == v:
-                found.add((a, (y.zeta, y.m)))
-    out = tuple(
-        (a, SpectralParam(z, m)) for a, (z, m) in sorted(found, key=lambda t: (t[0], t[1][1], t[1][0]))
-    )
+        if j == v.i:
+            fibre += [(a, w.times_i_power(-power)) for w in v.members()]
+    out = tuple(sorted(fibre, key=lambda p: (p[0], p[1].m, p[1].zeta)))
     if len(out) != 2:
         raise AssertionError(f"fold fiber of {v} has size {len(out)}, expected 2")
     return out
@@ -202,14 +200,16 @@ def _lattice_classes(
     if power_bound < 0:
         raise ValueError(f"power bound must be non-negative, got {power_bound}")
     tests = [lattice_test(g, s) for s in seeds]
-    classes: set[SeVertex] = set()
+    out = []
     for j in g.index_set:
-        for zeta in range(4):
-            for m in range(-power_bound, power_bound + 1):
-                v = vertex_class(g, j, SpectralParam(zeta, m))
-                if any(t(v.i, v.x) for t in tests):
-                    classes.add(v)
-    return tuple(sorted(classes, key=lambda v: (v.i, v.x.m, v.x.zeta)))
+        # The canonical representatives: zeta < 2 at a sign-quotient node.
+        zetas = range(2 if has_sign_quotient(g, j) else 4)
+        for m in range(-power_bound, power_bound + 1):
+            for zeta in zetas:
+                x = SpectralParam(zeta, m)
+                if any(t(j, x) for t in tests):
+                    out.append(SeVertex(g, j, x))
+    return tuple(out)
 
 
 def se_window(

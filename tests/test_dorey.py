@@ -211,6 +211,15 @@ def test_embed_pair_rejects_twisted_input():
         embed_pair_in_AR(A2_3, vertex_class(A2_3, 1, ONE), vertex_class(A2_3, 1, mq(2)))
 
 
+def test_embed_pair_rejects_classes_of_another_type():
+    a1_5 = AffineType.from_code("A1", 5)
+    v, w = vertex_class(a1_5, 1, ONE), vertex_class(a1_5, 1, mq(2))
+    assert embed_pair_in_AR(a1_5, v, w).found
+    for pair in ((v, w), (vertex_class(A1_3, 1, ONE), w), (v, vertex_class(A1_3, 1, mq(2)))):
+        with pytest.raises(ValueError, match="different affine types"):
+            embed_pair_in_AR(A1_3, *pair)
+
+
 def _adjacent_pairs(g1: AffineType):
     """Every adjacent, non-dual pair (i, q^0), (j, (-q)^e): (-q)^e or
     (-q)^-e is a zero of d_{i,j}."""

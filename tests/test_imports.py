@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: ``import arquiver`` resolves its public
-names lazily, and each CLI subcommand loads only the library modules its
-handler runs.  Each test runs in its own interpreter, because the test
-session has long since imported every module."""
+names lazily, each CLI subcommand loads only the library modules its
+handler runs, and a Gamma_Q query never builds the positive-root set.  Each
+test runs in its own interpreter, because the test session has long since
+imported every module and filled its caches."""
 
 from __future__ import annotations
 
@@ -117,3 +118,39 @@ def test_subcommand_loads_only_its_modules(argv, modules):
         "    pass\n" + _LOADED
     )
     assert _last_line(code) == sorted(["arquiver.cli", *modules])
+
+
+def _monotone(family: str, rank: int) -> str:
+    """The chain 1>2>..., with both fork arrows out of the hub on D."""
+    top = rank if family == "A" else rank - 2
+    arrows = [f"{i}>{i + 1}" for i in range(1, top)]
+    if family == "D":
+        arrows += [f"{rank - 2}>{rank - 1}", f"{rank - 2}>{rank}"]
+    return ",".join(arrows)
+
+
+def test_gamma_q_queries_never_build_the_positive_roots():
+    """Gamma_Q certifies its w0 word by length, so ar-quiver, convex-order,
+    minimal-pairs and schur-weyl leave the positive_roots cache empty, up to
+    rank 64."""
+    argvs = []
+    for family, ranks in (("A", (2, 8, 64)), ("D", (4, 8, 64))):
+        for rank in ranks:
+            given = ["--type", family, "--rank", str(rank), "--orientation", _monotone(family, rank)]
+            root = ",".join(["1", "1"] + ["0"] * (rank - 2))
+            argvs += [
+                ["ar-quiver", *given],
+                ["convex-order", *given],
+                ["minimal-pairs", *given, "--root", root],
+                ["schur-weyl", *given, "--t", "1"],
+                ["schur-weyl", *given, "--t", "2"],
+            ]
+    code = (
+        "import contextlib, io, json\n"
+        "from arquiver import rootsys\n"
+        "from arquiver.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, rootsys.positive_roots.cache_info().misses]))\n"
+    )
+    assert _last_line(code) == [[0] * len(argvs), 0]

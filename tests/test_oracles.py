@@ -2,9 +2,11 @@
 in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
 the monotone-orientation embedding search, the integer-keyed
 ``se_window``, the code-indexed ``minimal_pairs`` with its one-order memo and
-root codes and splits shared per root set, the one-lookup ``class_arrow_mult``
-and the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` against the
-slow paths they replaced, kept here as oracles.  The quiver reflection
+root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
+the one-class-per-slot, one-table-fetch ``schur_weyl_quiver``, the one-word
+``positive_roots``, the length-certified w0 check, the representative-built
+Se classes, the constructed fold fibres and the closed-form embedding position
+against the slow paths they replaced, kept here as oracles.  The quiver reflection
 (``quiver_sources``, ``quiver_reflect``) and root subtraction those oracles
 use live here too: no library path needs them."""
 
@@ -55,7 +57,7 @@ from arquiver.sequiver import (
     se_window,
     vertex_class,
 )
-from arquiver.spectral import AffineType, SpectralParam, zero_order
+from arquiver.spectral import AffineType, SpectralParam, dual_point, right_dual_point, zero_order
 
 # The package exports the function ``dorey``, which shadows the module.
 dorey = importlib.import_module("arquiver.dorey")
@@ -819,3 +821,187 @@ def test_schur_weyl_quiver_checks_the_later_slot_of_a_pair(monkeypatch):
         schur_weyl_quiver(ar, 2)
     text = f"arrow multiplicity ill-defined between {v} and {w}"
     assert str(whole.value) == str(single.value) == text
+
+
+@cache
+def positive_roots_oracle(t: FiniteType) -> frozenset[tuple[int, ...]]:
+    """The simple roots closed under every simple reflection."""
+    found = {simple_root(t, i) for i in t.index_set}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i in t.index_set:
+                w = reflect(t, i, v)
+                if w not in found and all(c >= 0 for c in w):
+                    found.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return frozenset(found)
+
+
+ROOT_TYPES = tuple(FiniteType("A", n) for n in (*range(2, 25), 32, 48, 64)) + tuple(
+    FiniteType("D", n) for n in (*range(4, 25), 32, 48, 64)
+)
+
+
+@pytest.mark.parametrize("t", ROOT_TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_positive_roots_from_one_word_match_the_reflection_closure(t):
+    assert positive_roots(t) == positive_roots_oracle(t)
+
+
+def w0_sequence_oracle(t: FiniteType, word):
+    """The root sequence, kept when its set is all of the positive roots."""
+    try:
+        seq = root_sequence(t, word)
+    except ValueError:
+        return None
+    return seq if set(seq) == positive_roots_oracle(t) else None
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_w0_by_length_matches_the_root_set_check(t):
+    """Every orientation's w0 and Coxeter words and their reversals."""
+    verdicts = []
+    for q in all_orientations(t):
+        for target in ("w0", "coxeter"):
+            word = adapted_word(q, target)
+            for w in (word, word[::-1]):
+                seq = rootsys._w0_sequence(t, w)
+                assert seq == w0_sequence_oracle(t, w)
+                assert rootsys.represents_w0(t, w) == (seq is not None)
+                verdicts.append(seq is not None)
+    assert any(verdicts) and not all(verdicts)
+
+
+@st.composite
+def near_w0_words(draw):
+    """A word of |Phi+| or |Phi+| +- 2 letters: an adapted w0 word with a few
+    letters replaced, dropped or inserted, or arbitrary letters."""
+    t = draw(SMALL)
+    size = t.num_positive_roots() + draw(st.sampled_from((-2, 0, 2)))
+    letter = st.integers(1, t.rank)
+    if draw(st.booleans()):
+        return t, tuple(draw(st.lists(letter, min_size=size, max_size=size)))
+    word = list(adapted_word(draw(st.sampled_from(all_orientations(t))), "w0"))
+    for _ in range(draw(st.integers(0, 2))):
+        word[draw(st.integers(0, len(word) - 1))] = draw(letter)
+    while len(word) > size:
+        del word[draw(st.integers(0, len(word) - 1))]
+    while len(word) < size:
+        word.insert(draw(st.integers(0, len(word))), draw(letter))
+    return t, tuple(word)
+
+
+@given(near_w0_words())
+def test_w0_by_length_matches_the_root_set_check_on_random_words(tw):
+    t, word = tw
+    assert rootsys._w0_sequence(t, word) == w0_sequence_oracle(t, word)
+    assert rootsys.represents_w0(t, word) == (w0_sequence_oracle(t, word) is not None)
+
+
+def lattice_classes_oracle(g, seeds, power_bound):
+    """Every (j, zeta, m) as a class, kept when a seed's lattice holds it,
+    deduplicated through a set and sorted by (index, q-power, zeta)."""
+    if power_bound < 0:
+        raise ValueError(f"power bound must be non-negative, got {power_bound}")
+    tests = [sequiver.lattice_test(g, s) for s in seeds]
+    classes = set()
+    for j in g.index_set:
+        for zeta in range(4):
+            for m in range(-power_bound, power_bound + 1):
+                v = vertex_class(g, j, SpectralParam(zeta, m))
+                if any(t(v.i, v.x) for t in tests):
+                    classes.add(v)
+    return tuple(sorted(classes, key=lambda v: (v.i, v.x.m, v.x.zeta)))
+
+
+@pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")
+def test_lattice_classes_from_representatives_match_set_and_sort(g):
+    """The --se0 seed, and seeds with zeta = 0..3 at a sign-quotient node (at
+    the top index where there is none), alone and together, at every bound
+    0 .. 2N + 1."""
+    node = next((i for i in g.index_set if has_sign_quotient(g, i)), g.index_set[-1])
+    zeta_seeds = [vertex_class(g, node, SpectralParam(zeta, 1)) for zeta in range(4)]
+    seed_sets = [[se0_seed(g)], *([s] for s in zeta_seeds), zeta_seeds]
+    for bound in range(2 * g.N + 2):
+        for seeds in seed_sets:
+            fast = _lattice_classes(g, seeds, bound)
+            assert fast == lattice_classes_oracle(g, seeds, bound), (seeds, bound)
+    with pytest.raises(ValueError, match="non-negative"):
+        _lattice_classes(g, seed_sets[0], -1)
+
+
+def pi_preimages_oracle(v: SeVertex):
+    """Every index a folding onto v.i with each member of v divided by its
+    i-power, kept when pi maps it back onto v, deduplicated and sorted."""
+    g1 = v.g.partner()
+    found = set()
+    for a in g1.index_set:
+        j, power = sequiver._pi_index_mult(g1, a)
+        if j != v.i:
+            continue
+        for w in v.members():
+            y = w.times_i_power(-power)
+            if pi(g1, a, y) == v:
+                found.add((a, (y.zeta, y.m)))
+    out = tuple(
+        (a, SpectralParam(z, m)) for a, (z, m) in sorted(found, key=lambda t: (t[0], t[1][1], t[1][0]))
+    )
+    if len(out) != 2:
+        raise AssertionError(f"fold fiber of {v} has size {len(out)}, expected 2")
+    return out
+
+
+@pytest.mark.parametrize(
+    "g", [g for g in SE_TYPES if g.twist == 2 and g.N <= 6], ids=lambda g: f"{g.code}_{g.N}"
+)
+def test_fold_fibres_by_construction_match_the_search(g):
+    """Every twisted class with |m| <= 4N."""
+    classes = _classes(g, 4 * g.N)
+    assert [sequiver.pi_preimages(v) for v in classes] == [pi_preimages_oracle(v) for v in classes]
+
+
+def test_pi_preimages_rejects_an_untwisted_class():
+    with pytest.raises(ValueError, match="twisted-type vertex"):
+        sequiver.pi_preimages(vertex_class(AffineType("D", 1, 4), 1, SpectralParam.one()))
+
+
+def embed_pair_loop_oracle(g1, v, w):
+    """embed_pair_in_AR scanning v's row of each monotone Gamma_Q for the
+    first position s with w's position s + e in w's row."""
+    if dual_point(g1, v.i, v.x) == (w.i, w.x) or right_dual_point(g1, v.i, v.x) == (w.i, w.x):
+        return dorey.EmbedResult(False, "dual pair")
+    ratio = w.x / v.x
+    e = ratio.minus_q_exponent()
+    if e is None or (
+        zero_order(g1, v.i, w.i, ratio) == 0 and zero_order(g1, w.i, v.i, ratio.inverse()) == 0
+    ):
+        return dorey.EmbedResult(False, "not adjacent")
+    for q in dorey._search_orientations(g1.classical()):
+        ar = dorey._ar_cached(q)
+        xi = ar.height
+        for s in range(xi[v.i] - 2 * ar.m[v.i], xi[v.i] + 1, 2):
+            pos_w = s + e
+            if not xi[w.i] - 2 * ar.m[w.i] <= pos_w <= xi[w.i]:
+                continue
+            if (pos_w - xi[w.i]) % 2 != 0:
+                continue
+            shift = v.x / SpectralParam.minus_q_power(s)
+            return dorey.EmbedResult(True, None, q, dict(xi), shift, ((v.i, s), (w.i, pos_w)))
+    raise AssertionError(f"no AR-quiver embedding found for {v} and {w}")
+
+
+@pytest.mark.parametrize(
+    "t", [t for t in TYPES if t.rank <= 6], ids=lambda t: f"{t.family}{t.rank}"
+)
+def test_embedding_position_in_closed_form_matches_the_row_scan(t):
+    """The universe of the lemma_embedding check: every ordered pair a < b of
+    the Se0 window with bound 2N, plus the same pairs reversed."""
+    g1 = AffineType(t.family, 1, t.rank)
+    verts = sequiver.se0_window(g1, 2 * t.rank)
+    pairs = [(v, w) for a, v in enumerate(verts) for w in verts[a + 1:]]
+    pairs += [(w, v) for v, w in pairs]
+    fast = [_embed_outcome(g1, v, w) for v, w in pairs]
+    assert fast == [embed_pair_loop_oracle(g1, v, w) for v, w in pairs]
+    assert {r.reason for r in fast} == {None, "dual pair", "not adjacent"}

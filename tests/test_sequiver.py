@@ -128,6 +128,19 @@ def test_fold_fibers_have_two_points():
         assert pi(A1_3, i, x) == vertex_class(A2_3, 1, ONE)
 
 
+@pytest.mark.parametrize(
+    "g1",
+    [AffineType("A", 1, n) for n in range(2, 9)] + [AffineType("D", 1, n) for n in range(4, 9)],
+    ids=lambda g: f"{g.code}_{g.N}",
+)
+def test_fold_rejects_an_index_outside_the_untwisted_range(g1):
+    """Checked against g1 itself, not left to the folded class: D1 N=4 used
+    to fold index 5 onto 3:-q^0, and A1 named the twisted type."""
+    for i in (0, -1, g1.N + 1, g1.N + 5):
+        with pytest.raises(ValueError, match=rf"^index {i} out of range for {g1.code} N={g1.N}$"):
+            pi(g1, i, ONE)
+
+
 def test_parity_lattice_membership():
     lat = lattice_test(A1_3, vertex_class(A1_3, 1, ONE))
     assert lat(1, SpectralParam(0, 2))
