@@ -22,8 +22,8 @@ _ARROW_RE = re.compile(r"(\d+)>(\d+)")
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)")
 # Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 0.2 s (D128:
 # 1.1 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.3-1.4 s
-# (D1 slowest); embed-pair at D1 N = 64 about 0.9 s (N = 128: 5.8 s); denominator
-# and dorey, linear in N, under 0.2 s at N = 4096.
+# (D1 slowest); embed-pair at D1 N = 64 at most about 0.2 s (N = 128: 1.0 s);
+# denominator and dorey, linear in N, under 0.2 s at N = 4096.
 _MAX_RANK, _MAX_BOUND = 64, 32
 _MAX_N = {"denominator": 4096, "se-quiver": 16, "dorey": 4096, "embed-pair": 64}
 

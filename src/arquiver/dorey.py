@@ -5,10 +5,8 @@ embedding of an adjacent pair into an AR quiver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .quiver import ARData, DynkinQuiver, _orientation, _tau_data, _w0_order, minimal_pairs
-from .rootsys import FiniteType, Root
+from .rootsys import FiniteType, Root, Value, _set
 from .spectral import (
     AffineType,
     SpectralParam,
@@ -21,31 +19,36 @@ from .sequiver import SeVertex, pi, pi_preimages, vertex_class
 Point = tuple[int, SpectralParam]
 
 
-@dataclass(frozen=True)
-class DoreyTriple:
+class DoreyTriple(Value):
     """An ordered query ((i,x), (j,y), (k,z)): does V(i,x) (x) V(j,y) surject
     onto V(k,z)?"""
 
-    g: AffineType
-    a: Point
-    b: Point
-    c: Point
+    __slots__ = ("g", "a", "b", "c")
 
-    def __post_init__(self) -> None:
-        idx = self.g.index_set
-        for i, _ in (self.a, self.b, self.c):
+    def __init__(self, g: AffineType, a: Point, b: Point, c: Point) -> None:
+        idx = g.index_set
+        for i, _ in (a, b, c):
             if i not in idx:
-                raise ValueError(f"index {i} out of range for {self.g.code} N={self.g.N}")
+                raise ValueError(f"index {i} out of range for {g.code} N={g.N}")
+        _set(self, "g", g)
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
 
-@dataclass(frozen=True)
-class DoreyVerdict:
+class DoreyVerdict(Value):
     """Outcome of a surjection query; untwisted verdicts carry the matched
     condition tag, twisted ones the successful untwisted lift."""
 
-    holds: bool
-    condition: str | None = None
-    witness: tuple[Point, Point, Point] | None = None
+    __slots__ = ("holds", "condition", "witness")
+
+    def __init__(
+        self, holds: bool, condition: str | None = None,
+        witness: tuple[Point, Point, Point] | None = None,
+    ) -> None:
+        _set(self, "holds", holds)
+        _set(self, "condition", condition)
+        _set(self, "witness", witness)
 
 
 def _mqp(e: int) -> tuple[int, int]:
@@ -174,17 +177,18 @@ def minimal_pair_triple(
     return triple
 
 
-@dataclass(frozen=True)
-class EmbedResult:
+class EmbedResult(Value):
     """Outcome of embedding an adjacent pair of spectral points into an AR
     quiver: a quiver, height function, and overall parameter shift."""
 
-    found: bool
-    reason: str | None = None
-    quiver: DynkinQuiver | None = None
-    height: dict[int, int] | None = None
-    shift: SpectralParam | None = None
-    positions: tuple[tuple[int, int], tuple[int, int]] | None = None
+    __slots__ = ("found", "reason", "quiver", "height", "shift", "positions")
+
+    def __init__(
+        self, found: bool, reason: str | None = None, quiver: DynkinQuiver | None = None,
+        height: dict[int, int] | None = None, shift: SpectralParam | None = None,
+        positions: tuple[tuple[int, int], tuple[int, int]] | None = None,
+    ) -> None:
+        self._init(found, reason, quiver, height, shift, positions)
 
 
 def _ar_cached(q: DynkinQuiver) -> ARData:

@@ -9,14 +9,15 @@ pairs for it live here as well.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Sequence
 
 from .rootsys import (
     FiniteType,
+    OrderedValue,
     Root,
+    Value,
     _adjacency,
     _unknit,
     _w0_sequence,
@@ -26,18 +27,16 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class DynkinQuiver:
+class DynkinQuiver(OrderedValue):
     """An orientation of a Dynkin diagram; arrows are (source, target) pairs."""
 
-    ftype: FiniteType
-    arrows: tuple[tuple[int, int], ...]
+    __slots__ = ("ftype", "arrows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
-        undirected = sorted(tuple(sorted(a)) for a in self.arrows)
-        if undirected != sorted(self.ftype.edges()):
+    def __init__(self, ftype: FiniteType, arrows: tuple[tuple[int, int], ...]) -> None:
+        arrows = tuple(sorted(arrows))
+        if sorted(tuple(sorted(a)) for a in arrows) != sorted(ftype.edges()):
             raise ValueError("arrows do not orient the Dynkin edges exactly once each")
+        self._init(ftype, arrows)
 
     def reverse(self) -> DynkinQuiver:
         return DynkinQuiver(self.ftype, tuple((b, a) for a, b in self.arrows))
@@ -233,18 +232,21 @@ def phi(
     return {key: (_unknit(v, t.rank), spin) for key, (v, spin) in knit.items()}
 
 
-@dataclass(frozen=True)
-class ARData:
+class ARData(Value):
     """A quiver with a height function and its AR-quiver coordinate data."""
 
-    quiver: DynkinQuiver
-    height: dict[int, int]
-    window: tuple[int, int]
-    phi: dict[tuple[int, int], tuple[Root, int]]
-    phi_inv: dict[tuple[Root, int], tuple[int, int]]
-    gamma_vertices: frozenset[tuple[int, int]]
-    gamma_arrows: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    m: dict[int, int]
+    __slots__ = (
+        "quiver", "height", "window", "phi", "phi_inv", "gamma_vertices", "gamma_arrows", "m"
+    )
+
+    def __init__(
+        self, quiver: DynkinQuiver, height: dict[int, int], window: tuple[int, int],
+        phi: dict[tuple[int, int], tuple[Root, int]],
+        phi_inv: dict[tuple[Root, int], tuple[int, int]],
+        gamma_vertices: frozenset[tuple[int, int]],
+        gamma_arrows: tuple[tuple[tuple[int, int], tuple[int, int]], ...], m: dict[int, int],
+    ) -> None:
+        self._init(quiver, height, window, phi, phi_inv, gamma_vertices, gamma_arrows, m)
 
 
 def ar_quiver(q: DynkinQuiver, xi: dict[int, int] | None = None) -> ARData:
@@ -269,12 +271,13 @@ def ar_quiver(q: DynkinQuiver, xi: dict[int, int] | None = None) -> ARData:
     )
 
 
-@dataclass(frozen=True)
-class ConvexPartialOrder:
+class ConvexPartialOrder(Value):
     """The relation beta <= gamma as a set of ordered root pairs."""
 
-    roots: tuple[Root, ...]
-    pairs: frozenset[tuple[Root, Root]]
+    __slots__ = ("roots", "pairs")
+
+    def __init__(self, roots: tuple[Root, ...], pairs: frozenset[tuple[Root, Root]]) -> None:
+        self._init(roots, pairs)
 
 
 def convex_order_Q(ar: ARData) -> ConvexPartialOrder:

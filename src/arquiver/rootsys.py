@@ -8,31 +8,83 @@ derived data is cached aggressively.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from types import MappingProxyType
 from typing import Sequence
 
 Root = tuple[int, ...]
 
+_set = object.__setattr__
 
-@dataclass(frozen=True, order=True)
-class FiniteType:
+
+class Value:
+    """Base of the immutable value classes.  A subclass names its fields in
+    ``__slots__``; its ``__init__`` sets them all with ``_init``, or one by
+    one with ``_set`` where construction is hot.  Equality, hash, repr and
+    pickling go by the field tuple, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if cls.__slots__:
+            cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def _init(self, *values: object) -> None:
+        """Set the fields, in the order of ``__slots__``."""
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._fields(self)
+
+
+@total_ordering
+class OrderedValue(Value):
+    """A Value ordered by its field tuple, as ``order=True`` orders a dataclass."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields(self) < other._fields(other)
+        return NotImplemented
+
+
+class FiniteType(OrderedValue):
     """Dynkin type ``A`` (rank >= 2) or ``D`` (rank >= 4).
 
     D_N is labelled with the chain ``1 - 2 - ... - (N-2)`` and the two fork
     nodes ``N-1`` and ``N`` both attached to ``N-2``.
     """
 
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "D"):
-            raise ValueError(f"unknown family: {self.family!r}")
-        lo = 2 if self.family == "A" else 4
-        if self.rank < lo:
-            raise ValueError(f"type {self.family} needs rank >= {lo}, got {self.rank}")
+    def __init__(self, family: str, rank: int) -> None:
+        if family not in ("A", "D"):
+            raise ValueError(f"unknown family: {family!r}")
+        lo = 2 if family == "A" else 4
+        if rank < lo:
+            raise ValueError(f"type {family} needs rank >= {lo}, got {rank}")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
 
     @property
     def index_set(self) -> range:

@@ -4,11 +4,10 @@ quiver attached to an AR quiver."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rootsys import distance, simple_root
+from .rootsys import Value, _set, distance, simple_root
 from .spectral import AffineType, SpectralParam, _raw_tables, denominator_roots_raw
 
 if TYPE_CHECKING:
@@ -24,19 +23,19 @@ def has_sign_quotient(g: AffineType, i: int) -> bool:
     return 1 <= i <= g.N - 2
 
 
-@dataclass(frozen=True)
-class SeVertex:
+class SeVertex(Value):
     """A vertex class (i, x); x is stored as the canonical representative."""
 
-    g: AffineType
-    i: int
-    x: SpectralParam
+    __slots__ = ("g", "i", "x")
 
-    def __post_init__(self) -> None:
-        if self.i not in self.g.index_set:
-            raise ValueError(f"index {self.i} out of range for {self.g.code} N={self.g.N}")
-        if has_sign_quotient(self.g, self.i) and self.x.zeta >= 2:
-            object.__setattr__(self, "x", -self.x)
+    def __init__(self, g: AffineType, i: int, x: SpectralParam) -> None:
+        if i not in g.index_set:
+            raise ValueError(f"index {i} out of range for {g.code} N={g.N}")
+        if has_sign_quotient(g, i) and x.zeta >= 2:
+            x = -x
+        _set(self, "g", g)
+        _set(self, "i", i)
+        _set(self, "x", x)
 
     def members(self) -> tuple[SpectralParam, ...]:
         """All parameters in this class (one, or two for quotient nodes)."""
@@ -166,21 +165,21 @@ def lattice_test(g: AffineType, seed: SeVertex) -> Callable[[int, SpectralParam]
     return twisted_d
 
 
-@dataclass(frozen=True)
-class LabeledQuiver:
+class LabeledQuiver(Value):
     """A finite directed multigraph with string ids, display labels, and
     arrow multiplicities; loops and 2-cycles are rejected."""
 
-    vertices: tuple[tuple[str, str], ...]
-    arrows: tuple[tuple[str, str, int], ...]
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self) -> None:
-        ids = [vid for vid, _ in self.vertices]
+    def __init__(
+        self, vertices: tuple[tuple[str, str], ...], arrows: tuple[tuple[str, str, int], ...]
+    ) -> None:
+        ids = [vid for vid, _ in vertices]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
         known = set(ids)
         seen = set()
-        for src, dst, mult in self.arrows:
+        for src, dst, mult in arrows:
             if src not in known or dst not in known:
                 raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
             if mult < 1:
@@ -190,6 +189,7 @@ class LabeledQuiver:
             if (dst, src) in seen:
                 raise ValueError(f"2-cycle between {src} and {dst}")
             seen.add((src, dst))
+        self._init(vertices, arrows)
 
 
 def _lattice_classes(
@@ -247,16 +247,17 @@ def se0_window(g: AffineType, power_bound: int) -> tuple[SeVertex, ...]:
     return _lattice_classes(g, [se0_seed(g)], power_bound)
 
 
-@dataclass(frozen=True)
-class SchurWeylDatum:
+class SchurWeylDatum(Value):
     """Generator data for a Schur-Weyl quiver: one entry per simple root."""
 
-    entries: tuple[tuple[int, int, int], ...]
-    s: dict[int, int]
-    X: dict[int, SpectralParam]
-    quiver: LabeledQuiver
-    cartan: tuple[tuple[int, ...], ...]
-    qexp: dict[tuple[int, int], tuple[int, int]]
+    __slots__ = ("entries", "s", "X", "quiver", "cartan", "qexp")
+
+    def __init__(
+        self, entries: tuple[tuple[int, int, int], ...], s: dict[int, int],
+        X: dict[int, SpectralParam], quiver: LabeledQuiver, cartan: tuple[tuple[int, ...], ...],
+        qexp: dict[tuple[int, int], tuple[int, int]],
+    ) -> None:
+        self._init(entries, s, X, quiver, cartan, qexp)
 
 
 def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:

@@ -9,27 +9,25 @@ split into their two roots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable
 
-from .rootsys import FiniteType
+from .rootsys import FiniteType, OrderedValue, Value, _set
 
 _PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PARAM_RE = re.compile(r"([+-]?)(i?)q\^(-?\d+)$")
 _MINUS_Q_RE = re.compile(r"\(-q\)\^(-?\d+)$")
 
 
-@dataclass(frozen=True)
-class SpectralParam:
+class SpectralParam(Value):
     """The element i^zeta * q^m with zeta taken mod 4."""
 
-    zeta: int
-    m: int
+    __slots__ = ("zeta", "m")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "zeta", self.zeta % 4)
+    def __init__(self, zeta: int, m: int) -> None:
+        _set(self, "zeta", zeta % 4)
+        _set(self, "m", m)
 
     @classmethod
     def one(cls) -> SpectralParam:
@@ -77,22 +75,22 @@ class SpectralParam:
         return self.m if self.zeta == 2 * self.m % 4 else None
 
 
-@dataclass(frozen=True, order=True)
-class AffineType:
+class AffineType(OrderedValue):
     """An affine family A/D with a twist order and the integer N of the name."""
 
-    family: str
-    twist: int
-    N: int
+    __slots__ = ("family", "twist", "N")
 
-    def __post_init__(self) -> None:
-        if self.family not in ("A", "D"):
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.twist not in (1, 2):
-            raise ValueError(f"twist must be 1 or 2, got {self.twist}")
-        low = 2 if self.family == "A" else 4
-        if self.N < low:
-            raise ValueError(f"type {self.family} needs N >= {low}, got {self.N}")
+    def __init__(self, family: str, twist: int, N: int) -> None:
+        if family not in ("A", "D"):
+            raise ValueError(f"unknown family {family!r}")
+        if twist not in (1, 2):
+            raise ValueError(f"twist must be 1 or 2, got {twist}")
+        low = 2 if family == "A" else 4
+        if N < low:
+            raise ValueError(f"type {family} needs N >= {low}, got {N}")
+        _set(self, "family", family)
+        _set(self, "twist", twist)
+        _set(self, "N", N)
 
     @classmethod
     def from_code(cls, code: str, n: int) -> AffineType:
@@ -208,15 +206,16 @@ def denominator_roots_raw(
     return _denominator_data(g, min(k, l), max(k, l))[1]
 
 
-@dataclass(frozen=True)
-class DenominatorZeros:
+class DenominatorZeros(Value):
     """The zero multiset of a denominator d_{k,l}(z), plus display factors."""
 
-    g: AffineType
-    k: int
-    l: int
-    factors: tuple[str, ...]
-    roots: tuple[tuple[SpectralParam, int], ...]
+    __slots__ = ("g", "k", "l", "factors", "roots")
+
+    def __init__(
+        self, g: AffineType, k: int, l: int, factors: tuple[str, ...],
+        roots: tuple[tuple[SpectralParam, int], ...],
+    ) -> None:
+        self._init(g, k, l, factors, roots)
 
     @property
     def degree(self) -> int:

@@ -4,7 +4,6 @@ combinatorics over bounded universes, one report per named check."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dorey import (
@@ -31,6 +30,7 @@ from .quiver import (
 )
 from .rootsys import (
     FiniteType,
+    Value,
     apply_word,
     cartan_matrix,
     distance,
@@ -469,15 +469,16 @@ def _check_lemma_embedding() -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Value):
     """One line of the verification suite's output."""
 
-    check_name: str
-    universe: str
-    passed: bool
-    counterexample: str | None
-    elapsed_ms: int
+    __slots__ = ("check_name", "universe", "passed", "counterexample", "elapsed_ms")
+
+    def __init__(
+        self, check_name: str, universe: str, passed: bool, counterexample: str | None,
+        elapsed_ms: int,
+    ) -> None:
+        self._init(check_name, universe, passed, counterexample, elapsed_ms)
 
 
 _CHECKS: tuple[tuple[str, str, Callable[[], str | None]], ...] = (

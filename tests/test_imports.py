@@ -1,8 +1,9 @@
 """What a fresh interpreter loads: ``import arquiver`` resolves its public
 names lazily, each CLI subcommand loads only the library modules its
-handler runs, and a Gamma_Q query never builds the positive-root set.  Each
-test runs in its own interpreter, because the test session has long since
-imported every module and filled its caches."""
+handler runs, no query or import loads ``dataclasses``, and a Gamma_Q
+query never builds the positive-root set.  Each test runs in its own
+interpreter, because the test session has long since imported every module
+and filled its caches."""
 
 from __future__ import annotations
 
@@ -81,32 +82,33 @@ ALL_BUT_VERIFY = [
 A3 = ["--type", "A", "--rank", "3", "--orientation", "1>2,3>2"]
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        pytest.param(["ar-quiver", *A3], QUIVER, id="ar-quiver"),
-        pytest.param(["convex-order", *A3], QUIVER, id="convex-order"),
-        pytest.param(["minimal-pairs", *A3, "--root", "1,1,0"], QUIVER, id="minimal-pairs"),
-        pytest.param(
-            ["denominator", "--g", "A1", "--n", "3", "--k", "1", "--l", "1"],
-            SPECTRAL,
-            id="denominator",
-        ),
-        pytest.param(
-            ["se-quiver", "--g", "D2", "--n", "4", "--se0", "--bound", "3"],
-            SEQUIVER,
-            id="se-quiver",
-        ),
-        pytest.param(["schur-weyl", *A3, "--t", "2"], QUIVER + SEQUIVER[1:], id="schur-weyl"),
-        pytest.param(DOREY_ARGV, ALL_BUT_VERIFY, id="dorey"),
-        pytest.param(
-            ["embed-pair", "--g", "A1", "--n", "2", "--v", "1:q^0", "--w", "2:q^1"],
-            ALL_BUT_VERIFY,
-            id="embed-pair",
-        ),
-        pytest.param(["denominator", "--g", "A1"], [], id="argparse-error"),
-    ],
-)
+# One query per subcommand, with the library modules its handler loads.
+QUERIES = [
+    pytest.param(["ar-quiver", *A3], QUIVER, id="ar-quiver"),
+    pytest.param(["convex-order", *A3], QUIVER, id="convex-order"),
+    pytest.param(["minimal-pairs", *A3, "--root", "1,1,0"], QUIVER, id="minimal-pairs"),
+    pytest.param(
+        ["denominator", "--g", "A1", "--n", "3", "--k", "1", "--l", "1"],
+        SPECTRAL,
+        id="denominator",
+    ),
+    pytest.param(
+        ["se-quiver", "--g", "D2", "--n", "4", "--se0", "--bound", "3"],
+        SEQUIVER,
+        id="se-quiver",
+    ),
+    pytest.param(["schur-weyl", *A3, "--t", "2"], QUIVER + SEQUIVER[1:], id="schur-weyl"),
+    pytest.param(DOREY_ARGV, ALL_BUT_VERIFY, id="dorey"),
+    pytest.param(
+        ["embed-pair", "--g", "A1", "--n", "2", "--v", "1:q^0", "--w", "2:q^1"],
+        ALL_BUT_VERIFY,
+        id="embed-pair",
+    ),
+    pytest.param(["denominator", "--g", "A1"], [], id="argparse-error"),
+]
+
+
+@pytest.mark.parametrize("argv, modules", QUERIES)
 def test_subcommand_loads_only_its_modules(argv, modules):
     """A later top-level import in cli.py or in a library module would show
     here as an extra module.  The last case is an argparse error."""
@@ -118,6 +120,33 @@ def test_subcommand_loads_only_its_modules(argv, modules):
         "    pass\n" + _LOADED
     )
     assert _last_line(code) == sorted(["arquiver.cli", *modules])
+
+
+SUBMODULES = ["cli", "dorey", "quiver", "rootsys", "sequiver", "spectral", "verify"]
+
+
+def test_no_query_or_import_loads_dataclasses_or_inspect():
+    """The value classes are written out by hand, so neither a CLI query nor
+    a library import loads ``dataclasses`` or the ``inspect`` it pulls in.
+    One interpreter runs every query of QUERIES, each loading only its own
+    modules, then imports every submodule, noting both after each step."""
+    steps = [f"main({query.values[0]!r})" for query in QUERIES]
+    steps += [f"import arquiver.{name}" for name in SUBMODULES]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from arquiver.cli import main\n"
+        "loaded = []\n"
+        f"for step in {steps!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "        try:\n"
+        "            exec(step)\n"
+        "        except SystemExit:\n"
+        "            pass\n"
+        "    loaded.append([m for m in ('dataclasses', 'inspect') if m in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert dict(zip(steps, _last_line(code))) == dict.fromkeys(steps, [])
 
 
 def _monotone(family: str, rank: int) -> str:

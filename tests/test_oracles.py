@@ -5,15 +5,20 @@ the monotone-orientation embedding search, the integer-keyed
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
 the one-class-per-slot, one-table-fetch ``schur_weyl_quiver``, the one-word
 ``positive_roots``, the length-certified w0 check, the representative-built
-Se classes, the constructed fold fibres and the closed-form embedding position
-against the slow paths they replaced, kept here as oracles.  The quiver reflection
+Se classes, the constructed fold fibres, the closed-form embedding position
+and the slotted value classes against the slow paths and frozen dataclasses
+they replaced, kept here as oracles.  The quiver reflection
 (``quiver_sources``, ``quiver_reflect``) and root subtraction those oracles
 use live here too: no library path needs them."""
 
 from __future__ import annotations
 
+import copy
 import importlib
+import inspect
 import operator
+import pickle
+from dataclasses import FrozenInstanceError, fields as dataclass_fields, make_dataclass
 from functools import cache
 from itertools import product
 
@@ -22,6 +27,8 @@ from hypothesis import example, given, strategies as st
 
 from arquiver import quiver, rootsys, sequiver
 from arquiver.quiver import (
+    ARData,
+    ConvexPartialOrder,
     DynkinQuiver,
     adapted_word,
     all_orientations,
@@ -57,7 +64,16 @@ from arquiver.sequiver import (
     se_window,
     vertex_class,
 )
-from arquiver.spectral import AffineType, SpectralParam, dual_point, right_dual_point, zero_order
+from arquiver.spectral import (
+    AffineType,
+    DenominatorZeros,
+    SpectralParam,
+    denominator,
+    dual_point,
+    right_dual_point,
+    zero_order,
+)
+from arquiver.verify import VerifyReport
 
 # The package exports the function ``dorey``, which shadows the module.
 dorey = importlib.import_module("arquiver.dorey")
@@ -1005,3 +1021,231 @@ def test_embedding_position_in_closed_form_matches_the_row_scan(t):
     fast = [_embed_outcome(g1, v, w) for v, w in pairs]
     assert fast == [embed_pair_loop_oracle(g1, v, w) for v, w in pairs]
     assert {r.reason for r in fast} == {None, "dual pair", "not adjacent"}
+
+
+# The frozen dataclasses that the slotted value classes replaced, field for
+# field and with their __post_init__ checks.  make_dataclass names each twin
+# after its class, so the two reprs compare byte for byte.
+
+
+def _finite_type_post_init(self):
+    if self.family not in ("A", "D"):
+        raise ValueError(f"unknown family: {self.family!r}")
+    lo = 2 if self.family == "A" else 4
+    if self.rank < lo:
+        raise ValueError(f"type {self.family} needs rank >= {lo}, got {self.rank}")
+
+
+def _spectral_param_post_init(self):
+    object.__setattr__(self, "zeta", self.zeta % 4)
+
+
+def _affine_type_post_init(self):
+    if self.family not in ("A", "D"):
+        raise ValueError(f"unknown family {self.family!r}")
+    if self.twist not in (1, 2):
+        raise ValueError(f"twist must be 1 or 2, got {self.twist}")
+    low = 2 if self.family == "A" else 4
+    if self.N < low:
+        raise ValueError(f"type {self.family} needs N >= {low}, got {self.N}")
+
+
+def _dynkin_quiver_post_init(self):
+    object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+    undirected = sorted(tuple(sorted(a)) for a in self.arrows)
+    if undirected != sorted(self.ftype.edges()):
+        raise ValueError("arrows do not orient the Dynkin edges exactly once each")
+
+
+def _se_vertex_post_init(self):
+    if self.i not in self.g.index_set:
+        raise ValueError(f"index {self.i} out of range for {self.g.code} N={self.g.N}")
+    if has_sign_quotient(self.g, self.i) and self.x.zeta >= 2:
+        object.__setattr__(self, "x", -self.x)
+
+
+def _labeled_quiver_post_init(self):
+    ids = [vid for vid, _ in self.vertices]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate vertex ids")
+    known = set(ids)
+    seen = set()
+    for src, dst, mult in self.arrows:
+        if src not in known or dst not in known:
+            raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
+        if mult < 1:
+            raise ValueError("arrow multiplicity must be >= 1")
+        if src == dst:
+            raise ValueError(f"loop at {src}")
+        if (dst, src) in seen:
+            raise ValueError(f"2-cycle between {src} and {dst}")
+        seen.add((src, dst))
+
+
+def _dorey_triple_post_init(self):
+    idx = self.g.index_set
+    for i, _ in (self.a, self.b, self.c):
+        if i not in idx:
+            raise ValueError(f"index {i} out of range for {self.g.code} N={self.g.N}")
+
+
+# class -> (its old fields in order, "=" marking a default of None; its old
+# __post_init__; whether it had order=True)
+_DATACLASS_SPECS = {
+    FiniteType: ("family rank", _finite_type_post_init, True),
+    SpectralParam: ("zeta m", _spectral_param_post_init, False),
+    AffineType: ("family twist N", _affine_type_post_init, True),
+    DenominatorZeros: ("g k l factors roots", None, False),
+    DynkinQuiver: ("ftype arrows", _dynkin_quiver_post_init, True),
+    ARData: (
+        "quiver height window phi phi_inv gamma_vertices gamma_arrows m", None, False
+    ),
+    ConvexPartialOrder: ("roots pairs", None, False),
+    SeVertex: ("g i x", _se_vertex_post_init, False),
+    LabeledQuiver: ("vertices arrows", _labeled_quiver_post_init, False),
+    SchurWeylDatum: ("entries s X quiver cartan qexp", None, False),
+    dorey.DoreyTriple: ("g a b c", _dorey_triple_post_init, False),
+    dorey.DoreyVerdict: ("holds condition= witness=", None, False),
+    dorey.EmbedResult: ("found reason= quiver= height= shift= positions=", None, False),
+    VerifyReport: ("check_name universe passed counterexample elapsed_ms", None, False),
+}
+
+
+def _dataclass_twin(cls, names, post_init, order):
+    fields = [
+        (name[:-1], object, None) if name.endswith("=") else (name, object)
+        for name in names.split()
+    ]
+    namespace = {"__post_init__": post_init} if post_init else {}
+    return make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True, order=order)
+
+
+DATACLASS_TWINS = {cls: _dataclass_twin(cls, *spec) for cls, spec in _DATACLASS_SPECS.items()}
+
+
+def _value_samples():
+    """(class, args, kwargs) per class: hand-picked fields, and the fields of
+    library results re-passed the way the library passes them."""
+    g1, g2, d2 = AffineType("A", 1, 4), AffineType("A", 2, 5), AffineType("D", 2, 5)
+    x, y = SpectralParam(1, 2), SpectralParam(2, -3)
+    q = DynkinQuiver(A3, ((1, 2), (3, 2)))
+    q2 = DynkinQuiver(FiniteType("D", 4), ((2, 1), (2, 3), (4, 2)))
+    ar, ar2 = ar_quiver(q), ar_quiver(q2)
+    v = vertex_class(g1, 1, SpectralParam.one())
+    w = vertex_class(g1, 2, SpectralParam.minus_q_power(3))
+
+    def fields(obj):
+        return tuple(getattr(obj, name) for name in type(obj).__slots__)
+
+    def keywords(obj):
+        return {name: getattr(obj, name) for name in type(obj).__slots__}
+
+    return [
+        (FiniteType, ("A", 2), {}), (FiniteType, ("A", 5), {}), (FiniteType, ("D", 4), {}),
+        (FiniteType, (), {"family": "D", "rank": 7}),
+        (SpectralParam, (1, 2), {}), (SpectralParam, (5, -3), {}), (SpectralParam, (-1, 0), {}),
+        (SpectralParam, (), {"zeta": 6, "m": 7}), (SpectralParam, (3, 2), {}),
+        (AffineType, ("A", 1, 3), {}), (AffineType, ("A", 2, 4), {}),
+        (AffineType, ("D", 1, 4), {}), (AffineType, (), {"family": "D", "twist": 2, "N": 6}),
+        (DenominatorZeros, fields(denominator(g1, 1, 2)), {}),
+        (DenominatorZeros, (), keywords(denominator(d2, 2, 3))),
+        (DynkinQuiver, (A3, ((3, 2), (1, 2))), {}), (DynkinQuiver, (A3, ((2, 1), (2, 3))), {}),
+        (DynkinQuiver, (A3, ((1, 2), (2, 3))), {}), (DynkinQuiver, fields(q2), {}),
+        (DynkinQuiver, (), {"ftype": FiniteType("A", 2), "arrows": [(2, 1)]}),
+        (ARData, (), keywords(ar)), (ARData, fields(ar2), {}),
+        (ConvexPartialOrder, fields(quiver.convex_order_Q(ar)), {}),
+        (ConvexPartialOrder, (), keywords(quiver.convex_order_Q(ar2))),
+        (SeVertex, (g1, 2, y), {}), (SeVertex, (d2, 1, y), {}), (SeVertex, (d2, 1, x), {}),
+        (SeVertex, (g2, 3, -x), {}), (SeVertex, (), {"g": g2, "i": 1, "x": y}),
+        (LabeledQuiver, ((("a", "A"), ("b", "B")), (("a", "b", 2),)), {}),
+        (LabeledQuiver, (), {"vertices": (("a", "A"),), "arrows": ()}),
+        (SchurWeylDatum, fields(schur_weyl_quiver(ar, 1)), {}),
+        (SchurWeylDatum, (), keywords(schur_weyl_quiver(ar2, 2))),
+        (dorey.DoreyTriple, (g1, (1, x), (2, y), (3, x)), {}),
+        (dorey.DoreyTriple, (), {"g": g2, "a": (1, x), "b": (1, y), "c": (2, x)}),
+        (dorey.DoreyVerdict, (True,), {}), (dorey.DoreyVerdict, (False,), {}),
+        (dorey.DoreyVerdict, (True, "A-i"), {}),
+        (dorey.DoreyVerdict, (True,), {"witness": ((1, x), (2, y), (3, x))}),
+        (dorey.EmbedResult, (False, "dual pair"), {}),
+        (dorey.EmbedResult, (False,), {"reason": "not adjacent"}),
+        (dorey.EmbedResult, fields(dorey.embed_pair_in_AR(g1, v, w)), {}),
+        (VerifyReport, ("pole_class", "every triple", True, None, 7), {}),
+        (VerifyReport, (), {
+            "check_name": "m_values", "universe": "A2", "passed": False,
+            "counterexample": "A2: m", "elapsed_ms": 12,
+        }),
+    ]
+
+
+VALUE_ERRORS = [
+    (FiniteType, ("B", 3)), (FiniteType, ("A", 1)), (FiniteType, ("D", 3)),
+    (AffineType, ("C", 1, 3)), (AffineType, ("A", 3, 3)), (AffineType, ("D", 1, 3)),
+    (DynkinQuiver, (A3, ((1, 2),))), (DynkinQuiver, (A3, ((1, 2), (2, 1), (2, 3)))),
+    (SeVertex, (AffineType("A", 2, 4), 3, SpectralParam.one())),
+    (SeVertex, (AffineType("D", 1, 4), 0, SpectralParam.one())),
+    (LabeledQuiver, ((("a", "A"), ("a", "B")), ())),
+    (LabeledQuiver, ((("a", "A"),), (("a", "b", 1),))),
+    (LabeledQuiver, ((("a", "A"), ("b", "B")), (("a", "b", 0),))),
+    (LabeledQuiver, ((("a", "A"),), (("a", "a", 1),))),
+    (LabeledQuiver, ((("a", "A"), ("b", "B")), (("a", "b", 1), ("b", "a", 1)))),
+    (dorey.DoreyTriple, (AffineType("A", 2, 4), *((i, SpectralParam.one()) for i in (1, 3, 1)))),
+]
+
+
+def _result_or_error(fn, *args):
+    """fn's result, or the type and text of the exception it raised; a
+    dataclass's FrozenInstanceError counts as the AttributeError it is."""
+    try:
+        return fn(*args)
+    except FrozenInstanceError as exc:
+        return AttributeError, str(exc)
+    except (AttributeError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_value_classes_keep_the_dataclass_signatures():
+    """Same parameters, kinds and defaults, and fields in the same order."""
+    for cls, twin in DATACLASS_TWINS.items():
+        params = [(p.name, p.kind, p.default) for p in inspect.signature(cls).parameters.values()]
+        assert params == [
+            (p.name, p.kind, p.default) for p in inspect.signature(twin).parameters.values()
+        ], cls.__name__
+        assert cls.__slots__ == tuple(f.name for f in dataclass_fields(twin)), cls.__name__
+
+
+@pytest.mark.parametrize("cls", list(DATACLASS_TWINS), ids=lambda cls: cls.__name__)
+def test_value_classes_behave_as_the_frozen_dataclasses(cls):
+    """repr, ==, hash, ordering, immutability, pickle and copies of sampled
+    instances against the dataclass twins."""
+    twin, ordered = DATACLASS_TWINS[cls], _DATACLASS_SPECS[cls][2]
+    pairs = [
+        (cls(*args, **kwargs), twin(*args, **kwargs))
+        for c, args, kwargs in _value_samples() if c is cls
+    ]
+    assert len(pairs) >= 2
+    for new, old in pairs:
+        assert repr(new) == repr(old)
+        assert _result_or_error(hash, new) == _result_or_error(hash, old)
+        assert [getattr(new, n) for n in cls.__slots__] == [getattr(old, n) for n in cls.__slots__]
+        for name in (*cls.__slots__, "extra"):
+            assert _result_or_error(setattr, new, name, 0) == _result_or_error(setattr, old, name, 0)
+            assert _result_or_error(delattr, new, name) == _result_or_error(delattr, old, name)
+            assert _result_or_error(setattr, new, name, 0)[0] is AttributeError
+        assert new != old and old != new
+        for copied in (pickle.loads(pickle.dumps(new)), copy.copy(new), copy.deepcopy(new)):
+            assert type(copied) is cls and copied == new
+        assert copy.deepcopy(old) == old
+    for (a, old_a), (b, old_b) in product(pairs, repeat=2):
+        assert (a == b, a != b) == (old_a == old_b, old_a != old_b)
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            assert _result_or_error(op, a, b) == _result_or_error(op, old_a, old_b)
+            assert isinstance(_result_or_error(op, a, b), bool) == ordered
+
+
+@pytest.mark.parametrize(
+    "cls, args", VALUE_ERRORS, ids=[f"{cls.__name__}-{k}" for k, (cls, _) in enumerate(VALUE_ERRORS)]
+)
+def test_value_classes_raise_the_dataclass_errors(cls, args):
+    new = _result_or_error(cls, *args)
+    assert new == _result_or_error(DATACLASS_TWINS[cls], *args)
+    assert new[0] is ValueError
