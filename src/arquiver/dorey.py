@@ -5,7 +5,8 @@ embedding of an adjacent pair into an AR quiver."""
 
 from __future__ import annotations
 
-from .quiver import ARData, DynkinQuiver, _orientation, _tau_data, _w0_order, minimal_pairs
+from typing import TYPE_CHECKING
+
 from .rootsys import FiniteType, Root, Value, _set
 from .spectral import (
     AffineType,
@@ -15,6 +16,10 @@ from .spectral import (
     zero_order,
 )
 from .sequiver import SeVertex, pi, pi_preimages, vertex_class
+
+# Only the functions that read Gamma_Q import quiver, so a Dorey query skips it.
+if TYPE_CHECKING:
+    from .quiver import ARData, DynkinQuiver
 
 Point = tuple[int, SpectralParam]
 
@@ -152,6 +157,7 @@ def minimal_pair_triple(
 ) -> DoreyTriple:
     """The surjection triple induced by a minimal pair (beta, gamma) of alpha,
     ordered with gamma's vertex first; folded through pi when t = 2."""
+    from .quiver import _w0_order, minimal_pairs
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
@@ -193,6 +199,7 @@ class EmbedResult(Value):
 
 def _ar_cached(q: DynkinQuiver) -> ARData:
     """Gamma_Q at height_function(q), as cached once per quiver (read only)."""
+    from .quiver import _tau_data
     return _tau_data(q)[0]
 
 
@@ -200,6 +207,7 @@ def _search_orientations(t: FiniteType) -> tuple[DynkinQuiver, ...]:
     """The monotone orientations, in all_orientations order: the chain
     1-2-... forward, then backward (A); for D, each of those with both fork
     arrows out of the hub or both into it."""
+    from .quiver import _orientation
     if t.family == "A":
         masks = (0, (1 << (t.rank - 1)) - 1)
     else:
@@ -212,6 +220,7 @@ def embed_pair_in_AR(g1: AffineType, v: SeVertex, w: SeVertex) -> EmbedResult:
     """Realize two arrow-connected, non-dual spectral points inside one AR
     quiver: find Q, a height function, and a shift a with both points at
     AR-quiver positions."""
+    from . import quiver  # noqa: F401  (loaded by every query, searched or rejected)
     if g1.twist != 1:
         raise ValueError("embed_pair_in_AR expects an untwisted type")
     if v.g != g1 or w.g != g1:

@@ -124,12 +124,6 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
     return dict(sorted(xi.items()))
 
 
-def _tight_window(t: FiniteType, xi: dict[int, int]) -> tuple[int, int]:
-    """Heights from max xi down to at least one step below every row of
-    Gamma_Q: a row has at most rank vertices, the top one at xi_i."""
-    return (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
-
-
 # Bounded: every caller reuses a quiver right away (within one computation,
 # one orientation loop or one CLI run), while sweeps over fresh orientations
 # would otherwise keep one entry per orientation alive.  Each entry holds a
@@ -142,7 +136,9 @@ def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...
     word's root sequence, the convex order of minimal pairs."""
     t = q.ftype
     xi = height_function(q)
-    window = _tight_window(t, xi)
+    # The tight window: from max xi down to at least one step below every row
+    # of Gamma_Q, as a row has at most rank vertices, the top one at xi_i.
+    window = (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
     table = phi(q, xi, window)
     inv: dict[tuple[Root, int], tuple[int, int]] = {}
     for vertex, key in table.items():
@@ -176,21 +172,17 @@ def coxeter_word(q: DynkinQuiver) -> tuple[int, ...]:
 
 def gamma_root(q: DynkinQuiver, i: int) -> Root:
     """Sum of the simple roots over vertices admitting a path into i."""
-    t = q.ftype
-    into: dict[int, list[int]] = {v: [] for v in t.index_set}
-    for a, b in q.arrows:
-        into[b].append(a)
-    seen = {i}
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in into[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(1 if v in seen else 0 for v in t.index_set)
+    return _unknit(_gamma_codes(q, height_function(q))[i], q.ftype.rank)
+
+
+def _gamma_codes(q: DynkinQuiver, xi: dict[int, int]) -> dict[int, int]:
+    """The code (rootsys._unknit) of gamma_root(q, i) for every i, in one pass
+    down the heights xi: on a tree, the vertices with a path into i are i and,
+    disjointly, those with a path into each a -> i, a higher vertex."""
+    codes = {i: 1 << 8 * (i - 1) for i in xi}
+    for a, b in sorted(q.arrows, key=lambda arrow: -xi[arrow[0]]):
+        codes[b] += codes[a]
+    return codes
 
 
 def _check_height(q: DynkinQuiver, xi: dict[int, int]) -> None:
@@ -210,7 +202,8 @@ def phi(
     Signed labels are knitted from v(i, xi_i) = gamma_root(q, i) by the mesh
     relation v(i, p - 2) = sum over j ~ i of v(j, p - 1) - v(i, p), downward,
     and by its mirror upward.  Each entry is (|v|, spin); along a row the spin
-    moves by one at each sign change, -1 going down and +1 going up.
+    moves by one at each sign change, -1 going down and +1 going up.  Each
+    distinct |v| is decoded once, and entries share its root.
     """
     lo, hi = window
     t = q.ftype
@@ -218,7 +211,8 @@ def phi(
     if any(not lo <= xi[i] <= hi for i in t.index_set):
         raise ValueError("window must contain all height function values")
     adj = _adjacency(t)
-    knit = {(i, xi[i]): (int.from_bytes(bytes(gamma_root(q, i)), "little"), 0) for i in adj}
+    codes = _gamma_codes(q, xi)
+    knit = {(i, xi[i]): (codes[i], 0) for i in adj}
     for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
         for p in range(start + d, stop + d, d):
             for i, nbrs in adj.items():
@@ -229,7 +223,11 @@ def phi(
                 for j in nbrs:
                     v += knit[(j, p - d)][0]
                 knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
-    return {key: (_unknit(v, t.rank), spin) for key, (v, spin) in knit.items()}
+    roots: dict[int, Root] = {}
+    for v, _ in knit.values():
+        if abs(v) not in roots:
+            roots[abs(v)] = _unknit(v, t.rank)
+    return {key: (roots[abs(v)], spin) for key, (v, spin) in knit.items()}
 
 
 class ARData(Value):
@@ -252,12 +250,16 @@ class ARData(Value):
 def ar_quiver(q: DynkinQuiver, xi: dict[int, int] | None = None) -> ARData:
     """The AR quiver Gamma_Q (the spin-0 slice of the phi table) on the tight
     window of xi: the cached one at height_function(q), translated by the
-    constant xi - height_function(q), in fresh containers."""
+    constant xi - height_function(q), in fresh dicts.  The immutable members
+    (window, gamma_vertices, gamma_arrows) are shared when nothing moves."""
     base = _tau_data(q)[0]
     d = 0
     if xi is not None:
         _check_height(q, xi)
         d = xi[1] - base.height[1]
+    if not d:
+        return ARData(q, dict(base.height), base.window, dict(base.phi), dict(base.phi_inv),
+                      base.gamma_vertices, base.gamma_arrows, dict(base.m))
     lo, hi = base.window
     return ARData(
         quiver=q,
@@ -337,7 +339,7 @@ def _root_codes(roots: frozenset[Root]) -> tuple[dict[Root, int], dict[int, tupl
 # The last order passed that cannot change (a tuple of tuples, as
 # root_sequence returns) and its index, first a placeholder no caller holds:
 # callers ask for each alpha of one order in turn, and converting and hashing
-# the order each time cost more than most rows.
+# the order each time cost more than most rows.  An equal tuple of tuples reuses it.
 _last_order: tuple = (object(), None)
 
 
@@ -352,7 +354,8 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
     """
     global _last_order
     held, index = _last_order
-    if order is not held:
+    fixed = order is held or (type(order) is tuple and all(type(r) is tuple for r in order))
+    if not fixed or order is not held and order != held:
         seq = tuple(map(tuple, order))
         roots = frozenset(seq)
         if len(roots) != len(seq):
@@ -361,7 +364,7 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
             raise ValueError("order contains roots of different lengths")
         codes, splits = _root_codes(roots)
         index = seq, codes, {codes[r]: n for n, r in enumerate(seq)}, splits
-        if type(order) is tuple and all(type(r) is tuple for r in order):
+        if fixed:
             _last_order = order, index
     seq, codes, at, splits = index
     c = codes.get(tuple(alpha))

@@ -204,12 +204,17 @@ def apply_word(t: FiniteType, word: Sequence[int], v: Root) -> Root:
 _KNIT_MAX = 31
 
 
+@lru_cache(maxsize=None)
+def _knit_mask(n: int) -> int:
+    return int.from_bytes(bytes([255 ^ _KNIT_MAX]) * n, "little")
+
+
 def _unknit(code: int, n: int) -> Root:
     """The root |v| of a knitted code of a length-n label.  Raises
     AssertionError unless v's digits share one sign and lie within _KNIT_MAX:
     a mixed sign leaves a digit of at least 256 - 127 in |v|'s bytes."""
     a = abs(code)
-    if a >> 8 * n or a & int.from_bytes(bytes([255 ^ _KNIT_MAX]) * n, "little"):
+    if a >> 8 * n or a & _knit_mask(n):
         raise AssertionError(f"knitted label {code} is not a signed root of length {n}")
     return tuple(a.to_bytes(n, "little"))
 

@@ -5,6 +5,7 @@ quiver attached to an AR quiver."""
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .rootsys import Value, _set, distance, simple_root
@@ -267,6 +268,7 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
     g1 = AffineType(ftype.family, 1, ftype.rank)
+    g = g1 if t == 1 else g1.partner()
     entries = []
     slot: dict[int, SeVertex] = {}
     for r in ftype.index_set:
@@ -275,24 +277,22 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
         point = SpectralParam.minus_q_power(p)
         slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
     idx = ftype.index_set
-    raw = _raw_tables(g1 if t == 1 else g1.partner())
-    quotient = {r: has_sign_quotient(v.g, v.i) for r, v in slot.items()}
-    dmat = {
-        (a, b): _arrow_mult(
-            raw(va.i, vb.i), vb.x.zeta - va.x.zeta, vb.x.m - va.x.m,
-            quotient[a] or quotient[b], va, vb,
-        )
-        for a, va in slot.items() for b, vb in slot.items() if a != b
-    }
+    raw = _raw_tables(g)
+    # Each slot as integers: its index, zeta, q-power and sign-quotient flag.
+    keys = [(r, v.i, v.x.zeta, v.x.m, has_sign_quotient(g, v.i)) for r, v in slot.items()]
+    dmat, arrows = {}, []
+    cartan = [[2 * (a == b) for b in idx] for a in idx]
+    for a, i, za, ma, qa in keys:
+        for b, j, zb, mb, qb in keys:
+            if a != b:
+                mult = _arrow_mult(raw(i, j), zb - za, mb - ma, qa or qb, slot[a], slot[b])
+                dmat[a, b] = mult
+                if mult:
+                    arrows.append((str(a), str(b), mult))
+                    cartan[a - 1][b - 1] -= mult
+                    cartan[b - 1][a - 1] -= mult
     s_map = {r: v.i for r, v in slot.items()}
     x_map = {r: v.x for r, v in slot.items()}
-    verts = tuple((str(r), f"{i},{p}") for r, i, p in entries)
-    arrows = tuple(
-        (str(a), str(b), dmat[(a, b)]) for a in idx for b in idx if a != b and dmat[(a, b)]
-    )
-    quiver = LabeledQuiver(verts, arrows)
-    cartan = tuple(
-        tuple(2 if a == b else -dmat[(a, b)] - dmat[(b, a)] for b in idx) for a in idx
-    )
-    qexp = {(a, b): (dmat[(a, b)], dmat[(b, a)]) for a in idx for b in idx if a < b}
-    return SchurWeylDatum(tuple(entries), s_map, x_map, quiver, cartan, qexp)
+    quiver = LabeledQuiver(tuple((str(r), f"{i},{p}") for r, i, p in entries), tuple(arrows))
+    qexp = {(a, b): (dmat[a, b], dmat[b, a]) for a, b in combinations(idx, 2)}
+    return SchurWeylDatum(tuple(entries), s_map, x_map, quiver, tuple(map(tuple, cartan)), qexp)

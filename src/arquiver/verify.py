@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 from .dorey import (
     DoreyTriple,
+    _mqp,
     condition_tag,
     dorey_twisted,
     dorey_untwisted,
@@ -69,10 +70,6 @@ def _twisted_types(nmax: int) -> list[AffineType]:
     out = [AffineType("A", 2, n) for n in range(2, nmax + 1)]
     out += [AffineType("D", 2, n) for n in range(4, nmax + 1)]
     return out
-
-
-def _mq(e: int) -> tuple[int, int]:
-    return (2 * e % 4, e)
 
 
 def _check_se_j_equals_qrev() -> str | None:
@@ -271,7 +268,7 @@ def _candidate_conditions(
     cand: dict[tuple[tuple[int, int], tuple[int, int]], str] = {}
 
     def put(tag: str, ex: int, ey: int) -> None:
-        key = (_mq(ex), _mq(ey))
+        key = (_mqp(ex), _mqp(ey))
         if cand.get(key, tag) != tag:
             raise AssertionError(f"overlapping conditions at {g.code} {(i, j, k)}")
         cand[key] = tag

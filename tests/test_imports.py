@@ -98,7 +98,7 @@ QUERIES = [
         id="se-quiver",
     ),
     pytest.param(["schur-weyl", *A3, "--t", "2"], QUIVER + SEQUIVER[1:], id="schur-weyl"),
-    pytest.param(DOREY_ARGV, ALL_BUT_VERIFY, id="dorey"),
+    pytest.param(DOREY_ARGV, ["arquiver.dorey", *SEQUIVER], id="dorey"),
     pytest.param(
         ["embed-pair", "--g", "A1", "--n", "2", "--v", "1:q^0", "--w", "2:q^1"],
         ALL_BUT_VERIFY,

@@ -272,9 +272,99 @@ def test_phi_raises_when_the_knit_leaves_the_exact_range(monkeypatch, seeds):
     """Seeds that are no roots on the linear A3 quiver 1 -> 2 -> 3."""
     q = all_orientations(A3)[0]
     xi = height_function(q)
-    monkeypatch.setattr(quiver, "gamma_root", lambda q, i: seeds[i])
+    codes = {i: int.from_bytes(bytes(seed), "little") for i, seed in seeds.items()}
+    monkeypatch.setattr(quiver, "_gamma_codes", lambda q, xi: codes)
     with pytest.raises(AssertionError, match="not a signed root"):
         phi(q, xi, (min(xi.values()) - 8, max(xi.values())))
+
+
+def gamma_root_oracle(q: DynkinQuiver, i: int) -> tuple[int, ...]:
+    """One breadth-first search back along the arrows from i."""
+    t = q.ftype
+    into: dict[int, list[int]] = {v: [] for v in t.index_set}
+    for a, b in q.arrows:
+        into[b].append(a)
+    seen = {i}
+    frontier = [i]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in into[v]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return tuple(1 if v in seen else 0 for v in t.index_set)
+
+
+def phi_per_entry_oracle(q: DynkinQuiver, xi, window):
+    """The integer knit seeded by one gamma_root search per vertex, with
+    every entry decoded on its own."""
+    lo, hi = window
+    t = q.ftype
+    adj = rootsys._adjacency(t)
+    knit = {
+        (i, xi[i]): (int.from_bytes(bytes(gamma_root_oracle(q, i)), "little"), 0) for i in adj
+    }
+    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
+        for p in range(start + d, stop + d, d):
+            for i, nbrs in adj.items():
+                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
+                    continue
+                prev, spin = knit[(i, p - 2 * d)]
+                v = -prev
+                for j in nbrs:
+                    v += knit[(j, p - d)][0]
+                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
+    return {key: (rootsys._unknit(v, t.rank), spin) for key, (v, spin) in knit.items()}
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_one_pass_phi_matches_per_vertex_seeds_and_per_entry_decoding(t, monkeypatch):
+    """Every orientation, two bases, on the tight window and one padded by 8N:
+    the same entries in the same order, one decode per distinct root, and
+    gamma_root equal to its search."""
+    n = t.rank
+    decoded = []
+
+    def counting(code, length):
+        decoded.append(abs(code))
+        return rootsys._unknit(code, length)
+
+    monkeypatch.setattr(quiver, "_unknit", counting)
+    for q in all_orientations(t):
+        assert [gamma_root(q, i) for i in t.index_set] == [
+            gamma_root_oracle(q, i) for i in t.index_set
+        ], q
+        for base in ((1, 0), (n, 3)):
+            xi = height_function(q, *base)
+            lo, hi = min(xi.values()), max(xi.values())
+            for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
+                decoded.clear()
+                got = phi(q, xi, window)
+                assert list(got.items()) == list(phi_per_entry_oracle(q, xi, window).items())
+                assert sorted(decoded) == sorted(set(decoded)), (q, window)
+                assert len(decoded) == len({root for root, _ in got.values()}), (q, window)
+
+
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_unknit_rejects_mixed_signs_and_wide_digits_at_every_rank(n):
+    """The per-rank mask, asked for in any order of ranks."""
+    top = 256 ** (n - 1)
+    bad = (
+        top - 1,  # digit 0 is -1, digit n - 1 is +1
+        1 - top,
+        1 - 2 * top,
+        32 * top,  # the top digit past the exact range
+        -32,
+        32 * 256 ** (n // 2),
+        255,
+        256**n,  # one digit too many
+    )
+    for code in bad:
+        with pytest.raises(AssertionError, match="not a signed root"):
+            rootsys._unknit(code, n)
+    assert rootsys._unknit(-(31 * top + 1), n) == (1,) + (0,) * (n - 2) + (31,)
 
 
 def _outcome(f, *args):
@@ -689,6 +779,47 @@ def test_minimal_pairs_reuses_only_an_immutable_order():
         r[:] = s
     assert minimal_pairs(of_lists, alpha) == minimal_pairs_oracle(second, alpha)
     assert quiver._last_order[0] is second
+
+
+def test_minimal_pairs_reuses_the_index_of_an_equal_order(monkeypatch):
+    """An equal but distinct tuple of tuples (a second root_sequence of the
+    same word) reuses the held index and gives the same answers; a list or a
+    tuple of lists equal to it is still read afresh, and the duplicate,
+    length and missing-alpha errors hold while the memo keeps the order."""
+    t = FiniteType("D", 5)
+    word = adapted_word(all_orientations(t)[5], "w0")
+    seq, again = root_sequence(t, word), root_sequence(t, word)
+    assert again == seq and not any(a is b for a, b in zip(again, seq))
+    minimal_pairs(seq, seq[0])
+    held = quiver._last_order
+    assert held[0] is seq
+    builds = []
+    true_root_codes = quiver._root_codes
+
+    def counting(roots):
+        builds.append(len(roots))
+        return true_root_codes(roots)
+
+    monkeypatch.setattr(quiver, "_root_codes", counting)
+    for alpha in again:
+        assert minimal_pairs(again, alpha) == minimal_pairs_oracle(seq, alpha)
+        assert quiver._last_order is held and quiver._last_order[0] is seq
+    assert builds == []
+    alpha = seq[len(seq) // 2]
+    for fresh in (list(again), tuple(list(r) for r in again), [list(r) for r in again]):
+        assert minimal_pairs(fresh, alpha) == minimal_pairs_oracle(seq, alpha)
+        assert quiver._last_order is held
+    assert builds == [len(seq)] * 3
+    errors = (
+        (again + (again[0],), alpha, "order contains duplicates"),
+        (again[:-1] + ((1,),), alpha, "order contains roots of different lengths"),
+        (again, (9,) * t.rank, "alpha is not in the given order"),
+        (again, (1,), "alpha is not in the given order"),
+    )
+    for order, root, message in errors:
+        for f in (minimal_pairs, minimal_pairs_oracle):
+            assert _outcome(f, order, root) == ("ValueError", message)
+        assert quiver._last_order is held
 
 
 def class_arrow_mult_oracle(v: SeVertex, w: SeVertex) -> int:

@@ -210,6 +210,45 @@ def test_ar_quiver_m_is_not_the_cached_table():
     assert fresh.height == {1: 0, 2: -1, 3: -2}
 
 
+def _shifted(ar: ARData, d: int) -> tuple:
+    """The fields of ar with every height moved by d."""
+    lo, hi = ar.window
+    return (
+        ar.quiver,
+        {i: h + d for i, h in ar.height.items()},
+        (lo + d, hi + d),
+        {(i, p + d): key for (i, p), key in ar.phi.items()},
+        {key: (i, p + d) for key, (i, p) in ar.phi_inv.items()},
+        frozenset((i, p + d) for i, p in ar.gamma_vertices),
+        tuple(((i, p + d), (j, r + d)) for (i, p), (j, r) in ar.gamma_arrows),
+        ar.m,
+    )
+
+
+SMALL_TYPES = [FiniteType("A", n) for n in range(2, 7)] + [FiniteType("D", n) for n in (4, 5, 6)]
+
+
+@pytest.mark.parametrize("t", SMALL_TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_ar_quiver_at_every_height_is_the_cached_one_translated(t):
+    """The cached height, the same height given explicitly, and the height
+    two steps up shifted back agree field by field, with the same dict
+    orders; each call gets its own dicts."""
+    for q in all_orientations(t):
+        xi = height_function(q)
+        cached = quiver._tau_data(q)[0]
+        want = _shifted(cached, 0)
+        for ar in (ar_quiver(q), ar_quiver(q, xi), ar_quiver(q, {i: h + 2 for i, h in xi.items()})):
+            d = ar.height[1] - xi[1]
+            got = _shifted(ar, -d)
+            assert got == want, (q, d)
+            for a, b in zip(got, want):
+                if isinstance(a, dict):
+                    assert list(a.items()) == list(b.items()), (q, d)
+            assert type(ar.gamma_vertices) is frozenset and type(ar.gamma_arrows) is tuple
+            for name in ("height", "phi", "phi_inv", "m"):
+                assert getattr(ar, name) is not getattr(cached, name), (q, name)
+
+
 def test_convex_order_agrees_with_path_order():
     for q in (LIN3, BIP3):
         ar = ar_quiver(q)
