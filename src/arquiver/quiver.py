@@ -23,7 +23,6 @@ from .rootsys import (
     _w0_sequence,
     distance,
     positive_roots,
-    root_sequence,
 )
 
 
@@ -95,9 +94,8 @@ def adapted_word(q: DynkinQuiver, target: str) -> tuple[int, ...]:
             word.append(v)
             del indeg[v]
             indeg.update((j, indeg[j] - 1) for j in adj[v] if j in indeg)
-        out = tuple(word)
-        root_sequence(t, out)  # raises if not reduced
-        return out
+        # Each vertex once: a Coxeter element, which is always reduced.
+        return tuple(word)
     if target != "w0":
         raise ValueError(f"unknown target {target!r}")
     return _tau_data(q)[1]

@@ -46,6 +46,25 @@ FROZEN_CLI = (
 )
 
 
+# Cases each check examines.  A universe that shrinks (or a generator that
+# stops early) changes its count, so the change shows here.
+VERIFY_CASES = {
+    "se_j_equals_qrev": 8140,
+    "denominator_structure": 4619,
+    "pi_two_to_one": 19254,
+    "pi_iso_on_se0": 289444,
+    "pi_duality": 25672,
+    "m_values": 2056,
+    "order_eq_paths": 246,
+    "adapted_refines": 246,
+    "dorey_bruteforce_agree": 845,
+    "twisted_lift_consistency": 124507,
+    "minimal_pairs_dorey": 3400,
+    "pole_class": 164,
+    "lemma_embedding": 9763,
+}
+
+
 def _report(num: int, label: str, elapsed_ms: int, passed: bool, detail: str = "") -> None:
     line = f"{'PASS' if passed else 'FAIL'} criterion {num:02d} [{label}] {elapsed_ms}ms"
     if detail:
@@ -58,7 +77,12 @@ def _verify_criterion(num: int, label: str, checks: tuple[str, ...], budget_ms: 
     reports = [run_check(name) for name in checks]
     elapsed = sum(r.elapsed_ms for r in reports)
     failures = "; ".join(
-        f"{r.check_name}: {r.counterexample}" for r in reports if not r.passed
+        [f"{r.check_name}: {r.counterexample}" for r in reports if not r.passed]
+        + [
+            f"{r.check_name}: {r.cases} cases, pinned {VERIFY_CASES[r.check_name]}"
+            for r in reports
+            if r.cases != VERIFY_CASES[r.check_name]
+        ]
     )
     if elapsed >= budget_ms:
         failures = (failures + f" exceeded {budget_ms}ms budget").strip()

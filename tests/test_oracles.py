@@ -1238,7 +1238,7 @@ _DATACLASS_SPECS = {
     dorey.DoreyTriple: ("g a b c", _dorey_triple_post_init, False),
     dorey.DoreyVerdict: ("holds condition= witness=", None, False),
     dorey.EmbedResult: ("found reason= quiver= height= shift= positions=", None, False),
-    VerifyReport: ("check_name universe passed counterexample elapsed_ms", None, False),
+    VerifyReport: ("check_name universe passed counterexample elapsed_ms cases", None, False),
 }
 
 
@@ -1300,10 +1300,10 @@ def _value_samples():
         (dorey.EmbedResult, (False, "dual pair"), {}),
         (dorey.EmbedResult, (False,), {"reason": "not adjacent"}),
         (dorey.EmbedResult, fields(dorey.embed_pair_in_AR(g1, v, w)), {}),
-        (VerifyReport, ("pole_class", "every triple", True, None, 7), {}),
+        (VerifyReport, ("pole_class", "every triple", True, None, 7, 164), {}),
         (VerifyReport, (), {
             "check_name": "m_values", "universe": "A2", "passed": False,
-            "counterexample": "A2: m", "elapsed_ms": 12,
+            "counterexample": "A2: m", "elapsed_ms": 12, "cases": 3,
         }),
     ]
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from arquiver.cli import main
+from test_acceptance import VERIFY_CASES
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 _LINES = README.splitlines()
@@ -20,6 +21,7 @@ COMMANDS = [
     if line.startswith("$ arquiver ")
 ]
 SESSIONS = re.findall(r"```python\n(.*?)```", README, re.DOTALL)
+CHECK_CASES = re.findall(r"^- `(\w+)`: (\d+) cases", README, re.MULTILINE)
 
 
 def test_readme_has_examples():
@@ -42,3 +44,7 @@ def test_readme_python_session_runs_as_shown(n):
     runner.run(test)
     failed, attempted = runner.summarize(verbose=False)
     assert attempted > 0 and failed == 0
+
+
+def test_readme_lists_every_check_with_its_pinned_case_count():
+    assert [(name, int(cases)) for name, cases in CHECK_CASES] == list(VERIFY_CASES.items())

@@ -1,6 +1,7 @@
-"""Tests for the self-verification checks themselves: they must still catch a
-wrong answer, must look at their whole universe, and must not redo work per
-index that is done per orientation."""
+"""Tests for the self-verification checks and their runner: a check must still
+catch a wrong answer, must look at its whole universe, and must not redo work
+per index that is done per orientation; the runner must count cases and fail a
+check that examined none."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from arquiver import verify
 from arquiver.quiver import DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
 from arquiver.spectral import AffineType, p_star
+from test_acceptance import VERIFY_CASES
 
 A3 = FiniteType("A", 3)
 D5_Q = all_orientations(FiniteType("D", 5))[5]
@@ -41,9 +43,9 @@ def _shift_one_m(monkeypatch, target: DynkinQuiver, i: int) -> None:
 )
 def test_m_values_catches_a_shifted_row_length(monkeypatch, target, i, expected):
     _shift_one_m(monkeypatch, target, i)
-    counterexample = verify._check_m_values()
-    assert isinstance(counterexample, str)
-    assert counterexample.startswith(expected)
+    report = verify.run_check("m_values")
+    assert not report.passed
+    assert report.counterexample.startswith(expected)
 
 
 def test_m_values_builds_one_table_per_orientation_visited(monkeypatch):
@@ -55,7 +57,7 @@ def test_m_values_builds_one_table_per_orientation_visited(monkeypatch):
         return true_table(q)
 
     monkeypatch.setattr(verify, "_m_table", counting)
-    assert verify._check_m_values() is None
+    assert verify.run_check("m_values").passed
     # Each linear A_n quiver and its reverse are visited twice: once against
     # the closed form, once in the sweep over all orientations.
     visited = sum(len(all_orientations(FiniteType("A", n))) + 2 for n in range(2, 11))
@@ -87,7 +89,7 @@ D1_STAR = (p_star(D1_4).zeta, p_star(D1_4).m)
     "g, k, l, edit, expected",
     [
         # 1* = 4 and 2* = 3 on A1 N=4: an extra zero at q^4 breaks d_{1,2} = d_{4,3}.
-        (A1_4, 1, 2, lambda r: r.update({(0, 4): 1}), "A1 N=4 d_{1,2} differs from d_{k*,l*}"),
+        (A1_4, 1, 2, lambda r: r.update({(0, 4): 1}), "A1 N=4 d_{1,2}: differs from d_{k*,l*}"),
         # D1 N=4 is self-dual, so the symmetry holds and p* is caught.
         (D1_4, 1, 2, lambda r: r.update({D1_STAR: 1}), "D1 N=4 d_{1,2}: zero order 1 at p*, want 0"),
         (D1_4, 1, 1, lambda r: r.update({D1_STAR: 2}), "D1 N=4 d_{1,1}: zero order 2 at p*, want 1"),
@@ -96,9 +98,9 @@ D1_STAR = (p_star(D1_4).zeta, p_star(D1_4).m)
     ids=["symmetry", "p-star-extra", "p-star-double", "q-power-range"],
 )
 def test_denominator_structure_catches_an_edited_table(monkeypatch, g, k, l, edit, expected):
-    assert verify._check_denominator_structure() is None
+    assert verify.run_check("denominator_structure").passed
     _patch_table(monkeypatch, g, k, l, edit)
-    assert verify._check_denominator_structure() == expected
+    assert verify.run_check("denominator_structure").counterexample == expected
 
 
 def test_denominator_structure_reads_every_table(monkeypatch):
@@ -110,5 +112,50 @@ def test_denominator_structure_reads_every_table(monkeypatch):
         return true_roots(g, k, l)
 
     monkeypatch.setattr(verify, "denominator_roots_raw", counting)
-    assert verify._check_denominator_structure() is None
+    assert verify.run_check("denominator_structure").passed
     assert len(seen) == 4619
+
+
+def test_available_checks_keep_their_names_and_order():
+    assert verify.available_checks() == tuple(VERIFY_CASES)
+
+
+@pytest.mark.parametrize("name", VERIFY_CASES)
+def test_a_check_that_examines_no_cases_fails(monkeypatch, name):
+    universe, _ = verify._CHECKS[name]
+    monkeypatch.setitem(verify._CHECKS, name, (universe, lambda: iter(())))
+    report = verify.run_check(name)
+    assert (report.passed, report.counterexample, report.cases) == (
+        False, "examined no cases", 0
+    )
+    assert report.universe == universe
+
+
+def test_the_runner_counts_cases_and_stops_at_the_first_failure(monkeypatch):
+    seen = []
+
+    def cases():
+        for n in range(5):
+            seen.append(n)
+            yield f"case {n}", "too big" if n >= 2 else None
+
+    monkeypatch.setitem(verify._CHECKS, "pole_class", ("u", cases))
+    report = verify.run_check("pole_class")
+    assert (report.passed, report.counterexample, report.cases) == (False, "case 2: too big", 3)
+    assert seen == [0, 1, 2]
+
+
+def test_an_assertion_inside_a_check_is_an_invariant_violation(monkeypatch):
+    def broken(g, i, j, k):
+        raise AssertionError(f"overlapping conditions at {g.code} {(i, j, k)}")
+
+    monkeypatch.setattr(verify, "_candidate_conditions", broken)
+    report = verify.run_check("pole_class")
+    assert not report.passed
+    assert report.counterexample == "invariant violated: overlapping conditions at A1 (1, 1, 1)"
+
+
+def test_an_unknown_check_name_is_rejected():
+    with pytest.raises(ValueError) as info:
+        verify.run_check("nope")
+    assert str(info.value) == f"unknown check 'nope'; available: {', '.join(VERIFY_CASES)}"
