@@ -14,14 +14,14 @@ from typing import TYPE_CHECKING, Sequence
 
 # Each handler imports the library modules it runs, so a query loads only those.
 if TYPE_CHECKING:
-    from .quiver import DynkinQuiver
+    from .quiver import ARData, DynkinQuiver
     from .rootsys import FiniteType
     from .spectral import AffineType, SpectralParam
 
 _ARROW_RE = re.compile(r"(\d+)>(\d+)")
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)")
 # Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 0.2 s (D128:
-# 1.1 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.3-1.4 s
+# 1.1 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.4-2.1 s
 # (D1 slowest); embed-pair at D1 N = 64 at most about 0.2 s (N = 128: 1.0 s);
 # denominator and dorey, linear in N, under 0.2 s at N = 4096.
 _MAX_RANK, _MAX_BOUND = 64, 32
@@ -34,20 +34,19 @@ def _capped(option: str, value: int, cap: int) -> int:
     return value
 
 
-def _parse_ftype(args: argparse.Namespace) -> FiniteType:
-    from .rootsys import FiniteType
-    return FiniteType(args.type, _capped("rank", args.rank, _MAX_RANK))
-
-
 def _parse_affine(args: argparse.Namespace) -> AffineType:
     from .spectral import AffineType
     return AffineType.from_code(args.g, _capped("n", args.n, _MAX_N[args.command]))
 
 
-def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
+def _parse_orientation(args: argparse.Namespace) -> DynkinQuiver:
+    """The oriented diagram of --type, --rank and --orientation; the rank is
+    checked before the arrows."""
     from .quiver import DynkinQuiver
+    from .rootsys import FiniteType
+    t = FiniteType(args.type, _capped("rank", args.rank, _MAX_RANK))
     arrows = []
-    for part in text.split(","):
+    for part in args.orientation.split(","):
         m = _ARROW_RE.fullmatch(part.strip())
         if not m:
             raise ValueError(f"bad arrow {part.strip()!r}; expected 'a>b'")
@@ -55,14 +54,16 @@ def _parse_orientation(t: FiniteType, text: str) -> DynkinQuiver:
     return DynkinQuiver(t, tuple(arrows))
 
 
-def _parse_base(q: DynkinQuiver, text: str | None) -> dict[int, int]:
-    from .quiver import height_function
-    if text is None:
-        return height_function(q)
-    m = _BASE_RE.fullmatch(text.strip())
+def _parse_ar(args: argparse.Namespace) -> ARData:
+    """The AR quiver of the orientation, heights normalized by --base."""
+    from .quiver import ar_quiver, height_function
+    q = _parse_orientation(args)
+    if args.base is None:
+        return ar_quiver(q, height_function(q))
+    m = _BASE_RE.fullmatch(args.base.strip())
     if not m:
-        raise ValueError(f"bad base {text!r}; expected 'vertex=value'")
-    return height_function(q, int(m.group(1)), int(m.group(2)))
+        raise ValueError(f"bad base {args.base!r}; expected 'vertex=value'")
+    return ar_quiver(q, height_function(q, int(m.group(1)), int(m.group(2))))
 
 
 def _parse_vertex(text: str) -> tuple[int, SpectralParam]:
@@ -87,7 +88,7 @@ def _root_str(root: Sequence[int]) -> str:
 def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if out:
+    if out is not None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
@@ -100,20 +101,16 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _quiver_json(
-    vertices: Sequence[tuple[str, str]], arrows: Sequence[tuple[str, str, int]]
+def _render_quiver(
+    vertices: Sequence[tuple[str, str]], arrows: Sequence[tuple[str, str, int]], fmt: str
 ) -> str:
-    return _dumps(
-        {
-            "vertices": [{"id": vid, "label": label} for vid, label in vertices],
-            "arrows": [{"src": a, "dst": b, "mult": m} for a, b, m in arrows],
-        }
-    )
-
-
-def _quiver_dot(
-    vertices: Sequence[tuple[str, str]], arrows: Sequence[tuple[str, str, int]]
-) -> str:
+    if fmt == "json":
+        return _dumps(
+            {
+                "vertices": [{"id": vid, "label": label} for vid, label in vertices],
+                "arrows": [{"src": a, "dst": b, "mult": m} for a, b, m in arrows],
+            }
+        )
     lines = ["digraph G {"]
     for vid, label in vertices:
         lines.append(f'  "{vid}" [label="{label}"];')
@@ -123,81 +120,56 @@ def _quiver_dot(
     return "\n".join(lines)
 
 
-def _emit_quiver(
-    vertices: Sequence[tuple[str, str]],
-    arrows: Sequence[tuple[str, str, int]],
-    args: argparse.Namespace,
-) -> None:
-    render = _quiver_dot if args.format == "dot" else _quiver_json
-    _emit(render(vertices, arrows), args.out)
-
-
-def _cmd_ar_quiver(args: argparse.Namespace) -> int:
-    from .quiver import ar_quiver
+def _cmd_ar_quiver(args: argparse.Namespace) -> str:
     from .rootsys import format_root
-    q = _parse_orientation(_parse_ftype(args), args.orientation)
-    ar = ar_quiver(q, _parse_base(q, args.base))
+    ar = _parse_ar(args)
     vertices = [
         (f"{i},{p}", format_root(ar.phi[(i, p)][0])) for i, p in sorted(ar.gamma_vertices)
     ]
     arrows = [
         (f"{a[0]},{a[1]}", f"{b[0]},{b[1]}", 1) for a, b in ar.gamma_arrows
     ]
-    _emit_quiver(vertices, arrows, args)
-    return 0
+    return _render_quiver(vertices, arrows, args.format)
 
 
-def _cmd_convex_order(args: argparse.Namespace) -> int:
+def _cmd_convex_order(args: argparse.Namespace) -> str:
     from .quiver import _w0_order, adapted_word
-    t = _parse_ftype(args)
-    q = _parse_orientation(t, args.orientation)
+    q = _parse_orientation(args)
     word, seq = adapted_word(q, "w0"), _w0_order(q)
-    _emit(_dumps({"word": list(word), "order": [_root_str(r) for r in seq]}), args.out)
-    return 0
+    return _dumps({"word": list(word), "order": [_root_str(r) for r in seq]})
 
 
-def _cmd_minimal_pairs(args: argparse.Namespace) -> int:
+def _cmd_minimal_pairs(args: argparse.Namespace) -> str:
     from .quiver import _w0_order, minimal_pairs
-    t = _parse_ftype(args)
-    q = _parse_orientation(t, args.orientation)
-    alpha = _parse_root(t, args.root)
+    q = _parse_orientation(args)
+    alpha = _parse_root(q.ftype, args.root)
     pairs = minimal_pairs(_w0_order(q), alpha)
-    _emit(
-        _dumps(
-            {
-                "alpha": _root_str(alpha),
-                "pairs": [
-                    {"beta": _root_str(b), "gamma": _root_str(g)} for b, g in pairs
-                ],
-            }
-        ),
-        args.out,
+    return _dumps(
+        {
+            "alpha": _root_str(alpha),
+            "pairs": [{"beta": _root_str(b), "gamma": _root_str(g)} for b, g in pairs],
+        }
     )
-    return 0
 
 
-def _cmd_denominator(args: argparse.Namespace) -> int:
+def _cmd_denominator(args: argparse.Namespace) -> str:
     from .spectral import denominator
     g = _parse_affine(args)
     d = denominator(g, args.k, args.l)
-    _emit(
-        _dumps(
-            {
-                "g": g.code,
-                "N": g.N,
-                "k": args.k,
-                "l": args.l,
-                "degree": d.degree,
-                "factors": list(d.factors),
-                "roots": [{"root": str(x), "mult": mult} for x, mult in d.roots],
-            }
-        ),
-        args.out,
+    return _dumps(
+        {
+            "g": g.code,
+            "N": g.N,
+            "k": args.k,
+            "l": args.l,
+            "degree": d.degree,
+            "factors": list(d.factors),
+            "roots": [{"root": str(x), "mult": mult} for x, mult in d.roots],
+        }
     )
-    return 0
 
 
-def _cmd_se_quiver(args: argparse.Namespace) -> int:
+def _cmd_se_quiver(args: argparse.Namespace) -> str:
     from .sequiver import se0_seed, se_window, vertex_class
     g = _parse_affine(args)
     bound = _capped("bound", args.bound, _MAX_BOUND) if args.bound is not None else 2 * g.N
@@ -208,21 +180,16 @@ def _cmd_se_quiver(args: argparse.Namespace) -> int:
     else:
         raise ValueError("provide --seed at least once or use --se0")
     quiver, _ = se_window(g, seeds, bound)
-    _emit_quiver(quiver.vertices, quiver.arrows, args)
-    return 0
+    return _render_quiver(quiver.vertices, quiver.arrows, args.format)
 
 
-def _cmd_schur_weyl(args: argparse.Namespace) -> int:
-    from .quiver import ar_quiver
+def _cmd_schur_weyl(args: argparse.Namespace) -> str:
     from .sequiver import schur_weyl_quiver
-    q = _parse_orientation(_parse_ftype(args), args.orientation)
-    ar = ar_quiver(q, _parse_base(q, args.base))
-    sw = schur_weyl_quiver(ar, args.t)
-    _emit_quiver(sw.quiver.vertices, sw.quiver.arrows, args)
-    return 0
+    sw = schur_weyl_quiver(_parse_ar(args), args.t)
+    return _render_quiver(sw.quiver.vertices, sw.quiver.arrows, args.format)
 
 
-def _cmd_dorey(args: argparse.Namespace) -> int:
+def _cmd_dorey(args: argparse.Namespace) -> str:
     from .dorey import DoreyTriple, dorey, multiple_pole_class
     g = _parse_affine(args)
     triple = DoreyTriple(
@@ -235,11 +202,10 @@ def _cmd_dorey(args: argparse.Namespace) -> int:
         obj["pole"] = multiple_pole_class(triple)
     if verdict.holds and g.twist == 2:
         obj["witness"] = [f"{i}:{x}" for i, x in verdict.witness]
-    _emit(_dumps(obj), args.out)
-    return 0
+    return _dumps(obj)
 
 
-def _cmd_embed_pair(args: argparse.Namespace) -> int:
+def _cmd_embed_pair(args: argparse.Namespace) -> str:
     from .dorey import embed_pair_in_AR
     from .sequiver import vertex_class
     g = _parse_affine(args)
@@ -256,8 +222,7 @@ def _cmd_embed_pair(args: argparse.Namespace) -> int:
         }
     else:
         obj = {"found": False, "reason": res.reason}
-    _emit(_dumps(obj), args.out)
-    return 0
+    return _dumps(obj)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -296,8 +261,8 @@ def _add_affine(p: argparse.ArgumentParser, command: str) -> None:
     )
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write output to this file instead of stdout")
+def _add_base(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--base", help="height normalization 'vertex=value' (default '1=0')")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -313,27 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ar-quiver", help="AR quiver of an oriented Dynkin diagram")
     _add_classical(p)
-    p.add_argument("--base", help="height normalization 'vertex=value' (default '1=0')")
+    _add_base(p)
     _add_format(p)
-    _add_out(p)
     p.set_defaults(handler=_cmd_ar_quiver)
 
     p = sub.add_parser("convex-order", help="adapted longest-element order on positive roots")
     _add_classical(p)
-    _add_out(p)
     p.set_defaults(handler=_cmd_convex_order)
 
     p = sub.add_parser("minimal-pairs", help="minimal pairs of a positive root")
     _add_classical(p)
     p.add_argument("--root", required=True, help="comma-separated coefficients, e.g. '1,1,0'")
-    _add_out(p)
     p.set_defaults(handler=_cmd_minimal_pairs)
 
     p = sub.add_parser("denominator", help="zero multiset of a denominator d_{k,l}(z)")
     _add_affine(p, "denominator")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
-    _add_out(p)
     p.set_defaults(handler=_cmd_denominator)
 
     p = sub.add_parser("se-quiver", help="window of the spectral-point quiver")
@@ -344,15 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--bound", type=int, help=f"|q-power| window bound (default 2N, at most {_MAX_BOUND})"
     )
     _add_format(p)
-    _add_out(p)
     p.set_defaults(handler=_cmd_se_quiver)
 
     p = sub.add_parser("schur-weyl", help="quiver on the simple-root slots of an AR quiver")
     _add_classical(p)
-    p.add_argument("--base", help="height normalization 'vertex=value' (default '1=0')")
+    _add_base(p)
     p.add_argument("--t", type=int, choices=(1, 2), required=True, help="untwisted or twisted")
     _add_format(p)
-    _add_out(p)
     p.set_defaults(handler=_cmd_schur_weyl)
 
     p = sub.add_parser("dorey", help="tensor-surjection verdict for a triple")
@@ -360,20 +319,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="first factor 'i:param'")
     p.add_argument("--b", required=True, help="second factor 'i:param'")
     p.add_argument("--c", required=True, help="target 'i:param'")
-    _add_out(p)
     p.set_defaults(handler=_cmd_dorey)
 
     p = sub.add_parser("embed-pair", help="realize an adjacent pair inside one AR quiver")
     _add_affine(p, "embed-pair")
     p.add_argument("--v", required=True, help="first point 'i:param'")
     p.add_argument("--w", required=True, help="second point 'i:param'")
-    _add_out(p)
     p.set_defaults(handler=_cmd_embed_pair)
+
+    # Every query handler returns its text; --out, the last option of each, redirects it.
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this file instead of stdout")
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--check", help="run a single named check")
-    p.set_defaults(handler=_cmd_verify)
-
     return parser
 
 
@@ -381,7 +340,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        return args.handler(args)
+        # verify prints a line per check as it runs and returns its exit status.
+        if args.command == "verify":
+            return _cmd_verify(args)
+        _emit(args.handler(args), args.out)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rootsys import Value, _set, distance, simple_root
+from .rootsys import Value, _set, simple_root
 from .spectral import AffineType, SpectralParam, _raw_tables, denominator_roots_raw
 
 if TYPE_CHECKING:
@@ -81,8 +81,8 @@ def se0_seed(g: AffineType) -> SeVertex:
 
 def se0_contains(g: AffineType, i: int, x: SpectralParam) -> bool:
     """Membership of the class of (i, x) in the distinguished component Se0."""
-    v = vertex_class(g, i, x)
-    return lattice_test(g, se0_seed(g))(v.i, v.x)
+    v, s = vertex_class(g, i, x), se0_seed(g)
+    return _lattice_key(g, v.i, v.x.zeta, v.x.m) == _lattice_key(g, s.i, s.x.zeta, s.x.m)
 
 
 def _pi_index_mult(g1: AffineType, a: int) -> tuple[int, int]:
@@ -127,43 +127,25 @@ def pi_preimages(v: SeVertex) -> tuple[tuple[int, SpectralParam], ...]:
     return out
 
 
+def _lattice_key(g: AffineType, j: int, zeta: int, m: int) -> tuple[int, ...]:
+    """Parity invariant of the point (j, i^zeta q^m) of Se(g): two points lie in
+    one parity lattice exactly when their keys are equal."""
+    if g.twist == 1:
+        # (j, x) and (i, y) share a lattice iff x / y = (-q)^e with e = d(i, j)
+        # mod 2, and d(i, j) = d(1, i) + d(1, j) mod 2 on a tree.
+        d1 = j - 1 if g.family == "A" else min(j, g.N - 1) - 1
+        return (zeta - 2 * m) % 4, (m + d1) % 2
+    n = g.N
+    if g.family == "A":
+        return ((zeta - 2 * m) % 4,) if n % 2 == 0 else (zeta % 2, (m + j) % 2)
+    # D(2): the parities chi and mu.
+    return (zeta + m + (j == n - 1)) % 2, (m + (n - 1 - j if j <= n - 2 else 0)) % 2
+
+
 def lattice_test(g: AffineType, seed: SeVertex) -> Callable[[int, SpectralParam], bool]:
     """Membership predicate for the parity lattice of Se(g) through the seed."""
-    n = g.N
-    if g.twist == 1:
-        t = g.classical()
-
-        def untwisted(j: int, x: SpectralParam) -> bool:
-            e = (x / seed.x).minus_q_exponent()
-            return e is not None and e % 2 == distance(t, seed.i, j) % 2
-
-        return untwisted
-    if g.family == "A":
-        if n % 2 == 0:
-
-            def even_a(j: int, x: SpectralParam) -> bool:
-                return (x / seed.x).minus_q_exponent() is not None
-
-            return even_a
-
-        def odd_a(j: int, x: SpectralParam) -> bool:
-            r = x / seed.x
-            return r.zeta % 2 == 0 and r.m % 2 == (seed.i + j) % 2
-
-        return odd_a
-
-    def chi(j: int, x: SpectralParam) -> int:
-        return (x.zeta + x.m + (1 if j == n - 1 else 0)) % 2
-
-    def mu(j: int, x: SpectralParam) -> int:
-        return (x.m + (n - 1 - j if j <= n - 2 else 0)) % 2
-
-    c0, m0 = chi(seed.i, seed.x), mu(seed.i, seed.x)
-
-    def twisted_d(j: int, x: SpectralParam) -> bool:
-        return chi(j, x) == c0 and mu(j, x) == m0
-
-    return twisted_d
+    key = _lattice_key(g, seed.i, seed.x.zeta, seed.x.m)
+    return lambda j, x: _lattice_key(g, j, x.zeta, x.m) == key
 
 
 class LabeledQuiver(Value):
@@ -200,16 +182,15 @@ def _lattice_classes(
     sorted by (index, q-power, zeta)."""
     if power_bound < 0:
         raise ValueError(f"power bound must be non-negative, got {power_bound}")
-    tests = [lattice_test(g, s) for s in seeds]
+    keys = {_lattice_key(g, s.i, s.x.zeta, s.x.m) for s in seeds}
     out = []
     for j in g.index_set:
         # The canonical representatives: zeta < 2 at a sign-quotient node.
         zetas = range(2 if has_sign_quotient(g, j) else 4)
         for m in range(-power_bound, power_bound + 1):
             for zeta in zetas:
-                x = SpectralParam(zeta, m)
-                if any(t(j, x) for t in tests):
-                    out.append(SeVertex(g, j, x))
+                if _lattice_key(g, j, zeta, m) in keys:
+                    out.append(SeVertex(g, j, SpectralParam(zeta, m)))
     return tuple(out)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -215,6 +216,32 @@ def test_output_to_a_missing_directory_exits_2(tmp_path):
 
 def test_output_to_a_directory_exits_2(tmp_path):
     _assert_cannot_write(tmp_path, "Is a directory")
+
+
+def test_output_to_an_empty_path_exits_2():
+    _assert_cannot_write("", "Is a directory")
+
+
+HELP_OPTIONS = {
+    "ar-quiver": ("--type", "--rank", "--orientation", "--base", "--format", "--out"),
+    "convex-order": ("--type", "--rank", "--orientation", "--out"),
+    "minimal-pairs": ("--type", "--rank", "--orientation", "--root", "--out"),
+    "denominator": ("--g", "--n", "--k", "--l", "--out"),
+    "se-quiver": ("--g", "--n", "--seed", "--se0", "--bound", "--format", "--out"),
+    "schur-weyl": ("--type", "--rank", "--orientation", "--base", "--t", "--format", "--out"),
+    "dorey": ("--g", "--n", "--a", "--b", "--c", "--out"),
+    "embed-pair": ("--g", "--n", "--v", "--w", "--out"),
+    "verify": ("--check",),
+}
+
+
+def test_help_lists_each_subcommands_options_in_order():
+    """--out comes last wherever a query has it; verify has none."""
+    for command, options in HELP_OPTIONS.items():
+        res = run_cli(command, "--help")
+        assert res.returncode == 0
+        listed = re.findall(r"^  (-[-\w]+)", res.stdout, re.MULTILINE)
+        assert tuple(listed) == ("-h", *options), command
 
 
 def test_output_is_deterministic():

@@ -5,11 +5,11 @@ the monotone-orientation embedding search, the integer-keyed
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
 the one-class-per-slot, one-table-fetch ``schur_weyl_quiver``, the one-word
 ``positive_roots``, the length-certified w0 check, the representative-built
-Se classes, the constructed fold fibres, the closed-form embedding position
-and the slotted value classes against the slow paths and frozen dataclasses
-they replaced, kept here as oracles.  The quiver reflection
-(``quiver_sources``, ``quiver_reflect``) and root subtraction those oracles
-use live here too: no library path needs them."""
+Se classes, the parity-key lattice test, the constructed fold fibres, the
+closed-form embedding position and the slotted value classes against the
+slow paths and frozen dataclasses they replaced, kept here as oracles.  The
+quiver reflection (``quiver_sources``, ``quiver_reflect``) and root
+subtraction those oracles use live here too: no library path needs them."""
 
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ from arquiver.rootsys import (
     add_roots,
     apply_word,
     cartan_matrix,
+    distance,
     neighbors,
     pairing,
     positive_roots,
@@ -612,12 +613,19 @@ def minimal_pairs_oracle(order, alpha):
     return tuple(sorted(out, key=lambda bg: pos[bg[0]]))
 
 
+# What minimal_pairs' one-order memo holds before any call: an order no
+# caller holds.  A test that clears the root codes resets the memo too, so an
+# order an earlier test left there cannot answer from its own index.
+LAST_ORDER_PLACEHOLDER = (object(), None)
+
+
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
 def test_indexed_minimal_pairs_match_the_pairwise_scan(t):
     """Every orientation and every alpha, each asked twice (cold splits,
     filled splits).  Every order of the type shares one entry of root codes
     and splits, so later orders read the splits earlier orders filled."""
     quiver._root_codes.cache_clear()
+    quiver._last_order = LAST_ORDER_PLACEHOLDER
     found = 0
     for q in all_orientations(t):
         order = root_sequence(t, adapted_word(q, "w0"))
@@ -636,6 +644,7 @@ def test_a_single_query_fills_only_its_own_splits():
     and fills the splits of that alpha alone."""
     t = FiniteType("D", 6)
     quiver._root_codes.cache_clear()
+    quiver._last_order = LAST_ORDER_PLACEHOLDER
     order = root_sequence(t, adapted_word(all_orientations(t)[5], "w0"))
     alpha = max(order, key=sum)
     got = minimal_pairs(order, alpha)
@@ -741,6 +750,7 @@ def test_root_splits_stay_bounded():
     """All D7 and D8 orientations share two entries; more root sets than the
     bound evict the oldest."""
     quiver._root_codes.cache_clear()
+    quiver._last_order = LAST_ORDER_PLACEHOLDER
     maxsize = quiver._root_codes.cache_info().maxsize
     assert maxsize is not None and maxsize >= 32
     for t in (D7, FiniteType("D", 8)):
@@ -1047,12 +1057,52 @@ def test_w0_by_length_matches_the_root_set_check_on_random_words(tw):
     assert rootsys.represents_w0(t, word) == (w0_sequence_oracle(t, word) is not None)
 
 
+def lattice_test_oracle(g: AffineType, seed: SeVertex):
+    """Membership predicate for the parity lattice of Se(g) through the seed,
+    one closure per type, each dividing by the seed's parameter."""
+    n = g.N
+    if g.twist == 1:
+        t = g.classical()
+
+        def untwisted(j: int, x: SpectralParam) -> bool:
+            e = (x / seed.x).minus_q_exponent()
+            return e is not None and e % 2 == distance(t, seed.i, j) % 2
+
+        return untwisted
+    if g.family == "A":
+        if n % 2 == 0:
+
+            def even_a(j: int, x: SpectralParam) -> bool:
+                return (x / seed.x).minus_q_exponent() is not None
+
+            return even_a
+
+        def odd_a(j: int, x: SpectralParam) -> bool:
+            r = x / seed.x
+            return r.zeta % 2 == 0 and r.m % 2 == (seed.i + j) % 2
+
+        return odd_a
+
+    def chi(j: int, x: SpectralParam) -> int:
+        return (x.zeta + x.m + (1 if j == n - 1 else 0)) % 2
+
+    def mu(j: int, x: SpectralParam) -> int:
+        return (x.m + (n - 1 - j if j <= n - 2 else 0)) % 2
+
+    c0, m0 = chi(seed.i, seed.x), mu(seed.i, seed.x)
+
+    def twisted_d(j: int, x: SpectralParam) -> bool:
+        return chi(j, x) == c0 and mu(j, x) == m0
+
+    return twisted_d
+
+
 def lattice_classes_oracle(g, seeds, power_bound):
     """Every (j, zeta, m) as a class, kept when a seed's lattice holds it,
     deduplicated through a set and sorted by (index, q-power, zeta)."""
     if power_bound < 0:
         raise ValueError(f"power bound must be non-negative, got {power_bound}")
-    tests = [sequiver.lattice_test(g, s) for s in seeds]
+    tests = [lattice_test_oracle(g, s) for s in seeds]
     classes = set()
     for j in g.index_set:
         for zeta in range(4):
@@ -1077,6 +1127,52 @@ def test_lattice_classes_from_representatives_match_set_and_sort(g):
             assert fast == lattice_classes_oracle(g, seeds, bound), (seeds, bound)
     with pytest.raises(ValueError, match="non-negative"):
         _lattice_classes(g, seed_sets[0], -1)
+
+
+@pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")
+def test_lattice_key_matches_the_closures(g):
+    """Equal parity keys exactly when the old closure of the seed holds the
+    point, for every seed and point (j, i^zeta q^m) with |m| <= 2N + 1; so
+    are lattice_test and se0_contains."""
+    points = [
+        (j, SpectralParam(zeta, m))
+        for j in g.index_set
+        for zeta in range(4)
+        for m in range(-2 * g.N - 1, 2 * g.N + 2)
+    ]
+    keys = [sequiver._lattice_key(g, j, x.zeta, x.m) for j, x in points]
+    se0 = lattice_test_oracle(g, se0_seed(g))
+    for (i, y), seed_key in zip(points, keys):
+        seed = vertex_class(g, i, y)
+        holds = lattice_test_oracle(g, seed)
+        assert [holds(j, x) for j, x in points] == [key == seed_key for key in keys], seed
+        assert sequiver.lattice_test(g, seed)(i, y) and holds(i, y)
+        assert sequiver.se0_contains(g, i, y) == se0(seed.i, seed.x), seed
+
+
+def test_lattice_classes_compute_one_key_per_seed_and_candidate(monkeypatch):
+    """One key per seed and one per candidate class, however many seeds share
+    a lattice; repeated seeds, or more seeds of the same lattice, give the
+    same window."""
+    g, bound = AffineType("D", 1, 8), 16
+    lattice = _lattice_classes(g, [se0_seed(g)], bound)
+    candidates = sum(
+        (2 if has_sign_quotient(g, j) else 4) * (2 * bound + 1) for j in g.index_set
+    )
+    calls = []
+    true_key = sequiver._lattice_key
+
+    def counting(*args):
+        calls.append(args)
+        return true_key(*args)
+
+    monkeypatch.setattr(sequiver, "_lattice_key", counting)
+    for seeds in ([se0_seed(g)], [se0_seed(g)] * 50, list(lattice)):
+        calls.clear()
+        assert _lattice_classes(g, seeds, bound) == lattice
+        assert 0 < len(calls) <= len(seeds) + candidates
+    window = se_window(g, [se0_seed(g)], bound)
+    assert se_window(g, [se0_seed(g)] * 3 + list(lattice[::7]), bound) == window
 
 
 def pi_preimages_oracle(v: SeVertex):
