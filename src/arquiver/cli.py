@@ -18,14 +18,27 @@ if TYPE_CHECKING:
     from .rootsys import FiniteType
     from .spectral import AffineType, SpectralParam
 
-_ARROW_RE = re.compile(r"(\d+)>(\d+)")
-_BASE_RE = re.compile(r"(\d+)=(-?\d+)")
-# Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 0.2 s (D128:
-# 1.1 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.4-2.1 s
+# The one rule for every integer read: an optional '-' and the digits 0-9.
+_INT = r"\s*-?\d+\s*"
+_ARROW_RE = re.compile(r"(\d+)>(\d+)", re.ASCII)
+_BASE_RE = re.compile(r"(\d+)=(-?\d+)", re.ASCII)
+# Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 0.15 s (D128:
+# 0.75 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.3-1.3 s
 # (D1 slowest); embed-pair at D1 N = 64 at most about 0.2 s (N = 128: 1.0 s);
 # denominator and dorey, linear in N, under 0.2 s at N = 4096.
 _MAX_RANK, _MAX_BOUND = 64, 32
 _MAX_N = {"denominator": 4096, "se-quiver": 16, "dorey": 4096, "embed-pair": 64}
+
+
+def _int(text: str) -> int:
+    """int(text) under _INT; text that is no number raises int()'s error."""
+    value = int(text)
+    if not re.fullmatch(_INT, text, re.ASCII):
+        raise ValueError(f"invalid integer {text!r}: use an optional '-' and the digits 0-9")
+    return value
+
+
+_int.__name__ = "int"  # argparse's message stays "invalid int value: ..."
 
 
 def _capped(option: str, value: int, cap: int) -> int:
@@ -71,11 +84,11 @@ def _parse_vertex(text: str) -> tuple[int, SpectralParam]:
     head, sep, tail = text.partition(":")
     if not sep:
         raise ValueError(f"bad vertex {text!r}; expected 'i:param'")
-    return int(head), SpectralParam.parse(tail)
+    return _int(head), SpectralParam.parse(tail)
 
 
 def _parse_root(t: FiniteType, text: str) -> tuple[int, ...]:
-    coeffs = tuple(int(c) for c in text.split(","))
+    coeffs = tuple(_int(c) for c in text.split(","))
     if len(coeffs) != t.rank:
         raise ValueError(f"root {text!r} needs {t.rank} coefficients")
     return coeffs
@@ -242,7 +255,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _add_classical(p: argparse.ArgumentParser) -> None:
     p.add_argument("--type", choices=("A", "D"), required=True, help="Dynkin family")
     p.add_argument(
-        "--rank", type=int, required=True, help=f"number of vertices (at most {_MAX_RANK})"
+        "--rank", type=_int, required=True, help=f"number of vertices (at most {_MAX_RANK})"
     )
     p.add_argument(
         "--orientation",
@@ -257,7 +270,7 @@ def _add_affine(p: argparse.ArgumentParser, command: str) -> None:
     )
     cap = _MAX_N[command]
     p.add_argument(
-        "--n", type=int, required=True, help=f"the integer N of the type name (at most {cap})"
+        "--n", type=_int, required=True, help=f"the integer N of the type name (at most {cap})"
     )
 
 
@@ -293,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("denominator", help="zero multiset of a denominator d_{k,l}(z)")
     _add_affine(p, "denominator")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--k", type=_int, required=True)
+    p.add_argument("--l", type=_int, required=True)
     p.set_defaults(handler=_cmd_denominator)
 
     p = sub.add_parser("se-quiver", help="window of the spectral-point quiver")
@@ -302,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", action="append", help="lattice seed 'i:param' (repeatable)")
     p.add_argument("--se0", action="store_true", help="seed with the distinguished component")
     p.add_argument(
-        "--bound", type=int, help=f"|q-power| window bound (default 2N, at most {_MAX_BOUND})"
+        "--bound", type=_int, help=f"|q-power| window bound (default 2N, at most {_MAX_BOUND})"
     )
     _add_format(p)
     p.set_defaults(handler=_cmd_se_quiver)
@@ -310,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur-weyl", help="quiver on the simple-root slots of an AR quiver")
     _add_classical(p)
     _add_base(p)
-    p.add_argument("--t", type=int, choices=(1, 2), required=True, help="untwisted or twisted")
+    p.add_argument("--t", type=_int, choices=(1, 2), required=True, help="untwisted or twisted")
     _add_format(p)
     p.set_defaults(handler=_cmd_schur_weyl)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from typing import Sequence
 
 from .rootsys import (
@@ -20,9 +20,9 @@ from .rootsys import (
     Value,
     _adjacency,
     _unknit,
-    _w0_sequence,
     distance,
     positive_roots,
+    root_sequence,
 )
 
 
@@ -131,31 +131,40 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
 def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...]]:
     """Gamma_Q at height_function(q), its column reading from the top height
     downward (the adapted w0 word, checked here once per quiver) and that
-    word's root sequence, the convex order of minimal pairs."""
+    word's root sequence, the convex order of minimal pairs, all read off one
+    knit.  Row i of Gamma_Q is the spin-0 prefix of the downward row i (going
+    up, tau P_i = I_i[-1] has spin 1).  The root sequence must equal the
+    labels of the reading, and its roots label the whole table."""
     t = q.ftype
     xi = height_function(q)
     # The tight window: from max xi down to at least one step below every row
     # of Gamma_Q, as a row has at most rank vertices, the top one at xi_i.
     window = (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
-    table = phi(q, xi, window)
-    inv: dict[tuple[Root, int], tuple[int, int]] = {}
-    for vertex, key in table.items():
-        if key in inv:
-            raise AssertionError(f"phi is not injective on the window at {key}")
-        inv[key] = vertex
-    gamma = frozenset(v for v, (_, spin) in table.items() if spin == 0)
+    entries, gamma, gamma_codes = _knit(q, xi, window)
+    keys, codes, spins = zip(*entries)
     if len(gamma) != t.num_positive_roots():
         raise AssertionError("spin-0 slice does not match the positive roots")
-    w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
+    w0 = tuple(map(operator.itemgetter(0), gamma))
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
-    order = _w0_sequence(t, w0)
-    if order is None:
-        raise AssertionError("column reading is not a longest-element word")
-    adj = _adjacency(t)
-    arrows = sorted(((i, p), (j, p + 1)) for i, p in gamma for j in adj[i] if (j, p + 1) in gamma)
-    m = {i: w0.count(i) - 1 for i in t.index_set}  # row i of Gamma_Q has m_i + 1 vertices
-    return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
+    try:
+        order = root_sequence(t, w0)
+    except ValueError:
+        raise AssertionError("column reading is not a longest-element word") from None
+    if list(map(int.from_bytes, map(bytes, order), repeat("little"))) != gamma_codes:
+        raise AssertionError("Gamma_Q labels differ from the root sequence of its reading")
+    labels = list(zip(map(dict(zip(gamma_codes, order)).__getitem__, map(abs, codes)), spins))
+    table, inv = dict(zip(keys, labels)), dict(zip(labels, keys))
+    if len(inv) != len(table):
+        key = next(key for n, key in enumerate(labels) if labels.index(key) < n)
+        raise AssertionError(f"phi is not injective on the window at {key}")
+    low = dict(gamma)  # row i of Gamma_Q: (i, p) for p = low_i, low_i + 2, ..., xi_i
+    # (i, p) -> (j, p + 1) is an arrow iff p + 1 lies in row j; generated sorted.
+    arrows = tuple([(src, (j, p + 1)) for i, nbrs in _adjacency(t).items()
+                    for p in range(low[i], xi[i] + 1, 2) for src in ((i, p),)
+                    for j in nbrs if low[j] <= p + 1 <= xi[j]])
+    m = {i: (xi[i] - low[i]) // 2 for i in t.index_set}
+    return ARData(q, xi, window, table, inv, frozenset(gamma), arrows, m), w0, order
 
 
 def _w0_order(q: DynkinQuiver) -> tuple[Root, ...]:
@@ -204,28 +213,50 @@ def phi(
     distinct |v| is decoded once, and entries share its root.
     """
     lo, hi = window
-    t = q.ftype
     _check_height(q, xi)
-    if any(not lo <= xi[i] <= hi for i in t.index_set):
+    if any(not lo <= xi[i] <= hi for i in q.ftype.index_set):
         raise ValueError("window must contain all height function values")
-    adj = _adjacency(t)
-    codes = _gamma_codes(q, xi)
-    knit = {(i, xi[i]): (codes[i], 0) for i in adj}
-    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
-        for p in range(start + d, stop + d, d):
-            for i, nbrs in adj.items():
-                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
-                    continue
-                prev, spin = knit[(i, p - 2 * d)]
-                v = -prev
-                for j in nbrs:
-                    v += knit[(j, p - d)][0]
-                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
+    keys, codes, spins = zip(*_knit(q, xi, window)[0])
     roots: dict[int, Root] = {}
-    for v, _ in knit.values():
+    for v in codes:
         if abs(v) not in roots:
-            roots[abs(v)] = _unknit(v, t.rank)
-    return {key: (roots[abs(v)], spin) for key, (v, spin) in knit.items()}
+            roots[abs(v)] = _unknit(v, q.ftype.rank)
+    return dict(zip(keys, zip(map(roots.__getitem__, map(abs, codes)), spins)))
+
+
+def _knit(q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]) -> tuple:
+    """phi's entries (i, p), signed code, spin in insertion order, and the keys
+    and codes at spin 0 of the seeds and the downward pass in reading order.
+    A pass keeps the latest label of each vertex and walks each level over the
+    vertices of its parity: going down, a neighbour's label is one level up and
+    i's own two levels up; going up is the mirror."""
+    adj, top = _adjacency(q.ftype), _gamma_codes(q, xi)
+    seeds = [0, *map(top.__getitem__, adj)]  # the labels at xi, by vertex
+    entries = [((i, xi[i]), seeds[i], 0) for i in adj]
+    rows = tuple([(i, xi[i], nbrs) for i, nbrs in adj.items() if xi[i] & 1 == r] for r in (0, 1))
+    gamma, gamma_codes = [], []
+    for d, levels in ((-1, range(max(xi.values()), window[0] - 1, -1)),
+                      (1, range(min(xi.values()) + 1, window[1] + 1))):
+        last, spin = seeds[:], [0] * len(seeds)
+        for p in levels:
+            for i, h, nbrs in rows[p & 1]:
+                if (p - h) * d > 0:
+                    prev = last[i]
+                    v = -prev
+                    for j in nbrs:
+                        v += last[j]
+                    if (v < 0) != (prev < 0):
+                        spin[i] += d
+                    last[i], key, s = v, (i, p), spin[i]
+                    entries.append((key, v, s))
+                elif p == h:  # a seed, read on the way down
+                    key, v, s = (i, p), last[i], 0
+                else:
+                    continue
+                if not s and d < 0:
+                    gamma.append(key)
+                    gamma_codes.append(v)
+    return entries, gamma, gamma_codes
 
 
 class ARData(Value):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, total_ordering
+from itertools import repeat
 from types import MappingProxyType
 from typing import Sequence
 
@@ -219,6 +220,11 @@ def _unknit(code: int, n: int) -> Root:
     return tuple(a.to_bytes(n, "little"))
 
 
+# The last tuple word root_sequence answered, its type and its result: _tau_data
+# certifies each adapted w0 word here, and callers then ask for that word again.
+_last_sequence: tuple = (None, None, None)
+
+
 def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     """Roots beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) of a reduced word.
 
@@ -229,20 +235,28 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     Keeps the columns w(alpha_j) of the prefix w as base-256 codes (_unknit),
     so beta_k is column i_k; right multiplication by s_i negates column i and
     adds it to each neighbour's.  A column is a root: negative iff its code is.
+    The same tuple word of the same type as the last call gets the same tuple.
     """
+    global _last_sequence
+    if type(word) is tuple and word == _last_sequence[0] and t == _last_sequence[1]:
+        return _last_sequence[2]
     adj = _adjacency(t)
     cols = {j: 1 << 8 * (j - 1) for j in adj}
     seq: list[int] = []
-    for k, letter in enumerate(word, start=1):
+    for letter in word:
         nbrs = adj[letter] if letter in adj else neighbors(t, letter)  # the latter raises
         beta = cols[letter]
         if beta < 0:
-            raise ValueError(f"word is not reduced at position {k}")
+            raise ValueError(f"word is not reduced at position {len(seq) + 1}")
         seq.append(beta)
         cols[letter] = -beta
         for j in nbrs:
             cols[j] += beta
-    return tuple(_unknit(beta, t.rank) for beta in seq)
+    n = t.rank  # a column is a root: the n bytes of its code are its coefficients
+    out = tuple(zip(*[iter(b"".join(map(int.to_bytes, seq, repeat(n), repeat("little"))))] * n))
+    if type(word) is tuple:
+        _last_sequence = word, t, out
+    return out
 
 
 def _w0_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...] | None:

@@ -8,7 +8,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .rootsys import Value, _set, simple_root
+from .rootsys import Value, _set
 from .spectral import AffineType, SpectralParam, _raw_tables, denominator_roots_raw
 
 if TYPE_CHECKING:
@@ -97,14 +97,20 @@ def _pi_index_mult(g1: AffineType, a: int) -> tuple[int, int]:
     return n - 1, 2 * a
 
 
+def _fold(g1: AffineType, i: int, zeta: int) -> tuple[int, int]:
+    """pi on integers: the index and the zeta of the image of (i, i^zeta q^m)."""
+    j, power = _pi_index_mult(g1, i)
+    return j, (zeta + power) % 4
+
+
 def pi(g1: AffineType, i: int, x: SpectralParam) -> SeVertex:
     """The 2:1 fold of an untwisted spectral point onto its twisted partner."""
     if g1.twist != 1:
         raise ValueError("pi folds untwisted points; got a twisted type")
     if not 1 <= i <= g1.N:
         raise ValueError(f"index {i} out of range for {g1.code} N={g1.N}")
-    j, power = _pi_index_mult(g1, i)
-    return vertex_class(g1.partner(), j, x.times_i_power(power))
+    j, zeta = _fold(g1, i, x.zeta)
+    return vertex_class(g1.partner(), j, SpectralParam(zeta, x.m))
 
 
 @lru_cache(maxsize=65536)
@@ -174,6 +180,18 @@ class LabeledQuiver(Value):
             seen.add((src, dst))
         self._init(vertices, arrows)
 
+    @classmethod
+    def _trusted(cls, vertices: tuple, arrows: tuple) -> LabeledQuiver:
+        """The quiver of distinct ids and arrows of multiplicity >= 1 between them:
+        one set test for loops and 2-cycles, then the validating constructor
+        names the first one found."""
+        ends = {(src, dst) for src, dst, _ in arrows}
+        if not ends.isdisjoint({(dst, src) for src, dst in ends}):
+            return cls(vertices, arrows)
+        self = object.__new__(cls)
+        self._init(vertices, arrows)
+        return self
+
 
 def _lattice_classes(
     g: AffineType, seeds: Sequence[SeVertex], power_bound: int
@@ -221,7 +239,7 @@ def se_window(
             quot = quotient[i] or quotient[j]
             mult = _arrow_mult(raw(i, j), hz - zeta, hm - m, quot, labels[n], labels[p])
             arrows.append((labels[n], labels[p], mult))
-    return LabeledQuiver(tuple(zip(labels, labels)), tuple(arrows)), order
+    return LabeledQuiver._trusted(tuple(zip(labels, labels)), tuple(arrows)), order
 
 
 def se0_window(g: AffineType, power_bound: int) -> tuple[SeVertex, ...]:
@@ -244,36 +262,41 @@ class SchurWeylDatum(Value):
 
 def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
     """The quiver on the simple-root slots of the AR data, for the untwisted
-    (t=1) or twisted (t=2) denominators."""
+    (t=1) or twisted (t=2) denominators.  A slot is the integers (index, zeta,
+    q-power, sign-quotient flag) of its class's canonical representative."""
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
-    g1 = AffineType(ftype.family, 1, ftype.rank)
+    n, idx = ftype.rank, ftype.index_set
+    g1 = AffineType(ftype.family, 1, n)
     g = g1 if t == 1 else g1.partner()
-    entries = []
-    slot: dict[int, SeVertex] = {}
-    for r in ftype.index_set:
-        i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
+    entries, s_map, x_map, slots = [], {}, {}, []
+    for r in idx:
+        i, p = ar.phi_inv[((0,) * (r - 1) + (1,) + (0,) * (n - r), 0)]
         entries.append((r, i, p))
-        point = SpectralParam.minus_q_power(p)
-        slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
-    idx = ftype.index_set
-    raw = _raw_tables(g)
-    # Each slot as integers: its index, zeta, q-power and sign-quotient flag.
-    keys = [(r, v.i, v.x.zeta, v.x.m, has_sign_quotient(g, v.i)) for r, v in slot.items()]
-    dmat, arrows = {}, []
-    cartan = [[2 * (a == b) for b in idx] for a in idx]
-    for a, i, za, ma, qa in keys:
-        for b, j, zb, mb, qb in keys:
+        j, zeta = (i, 2 * p % 4) if t == 1 else _fold(g1, i, 2 * p)  # (i, (-q)^p) or its fold
+        quotient = has_sign_quotient(g, j)
+        zeta -= 2 if quotient and zeta >= 2 else 0
+        s_map[r], x_map[r] = j, SpectralParam(zeta, p)
+        slots.append((r, j, zeta, p, quotient))
+    raw, dmat, arrows = _raw_tables(g), [[0] * (n + 1) for _ in range(n + 1)], []
+    cartan = [[0] * n for _ in idx]
+    for a, i, za, ma, qa in slots:
+        cartan[a - 1][a - 1] = 2
+        for b, j, zb, mb, qb in slots:
             if a != b:
-                mult = _arrow_mult(raw(i, j), zb - za, mb - ma, qa or qb, slot[a], slot[b])
-                dmat[a, b] = mult
+                roots, zeta = raw(i, j), (zb - za) % 4
+                mult = roots.get((zeta, mb - ma), 0)
+                # The representative pairs give the ratios r and -r iff a slot is a sign-quotient node.
+                if (qa or qb) and roots.get(((zeta + 2) % 4, mb - ma), 0) != mult:
+                    v, w = SeVertex(g, i, x_map[a]), SeVertex(g, j, x_map[b])
+                    raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
                 if mult:
+                    dmat[a][b] = mult
                     arrows.append((str(a), str(b), mult))
                     cartan[a - 1][b - 1] -= mult
                     cartan[b - 1][a - 1] -= mult
-    s_map = {r: v.i for r, v in slot.items()}
-    x_map = {r: v.x for r, v in slot.items()}
-    quiver = LabeledQuiver(tuple((str(r), f"{i},{p}") for r, i, p in entries), tuple(arrows))
-    qexp = {(a, b): (dmat[a, b], dmat[b, a]) for a, b in combinations(idx, 2)}
-    return SchurWeylDatum(tuple(entries), s_map, x_map, quiver, tuple(map(tuple, cartan)), qexp)
+    vertices = tuple((str(r), f"{i},{p}") for r, i, p in entries)
+    qexp = {(a, b): (dmat[a][b], dmat[b][a]) for a, b in combinations(idx, 2)}
+    return SchurWeylDatum(tuple(entries), s_map, x_map, LabeledQuiver._trusted(
+        vertices, tuple(arrows)), tuple(map(tuple, cartan)), qexp)

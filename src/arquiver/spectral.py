@@ -16,8 +16,8 @@ from typing import Callable
 from .rootsys import FiniteType, OrderedValue, Value, _set
 
 _PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
-_PARAM_RE = re.compile(r"([+-]?)(i?)q\^(-?\d+)$")
-_MINUS_Q_RE = re.compile(r"\(-q\)\^(-?\d+)$")
+_PARAM_RE = re.compile(r"([+-]?)(i?)q\^(-?\d+)$", re.ASCII)
+_MINUS_Q_RE = re.compile(r"\(-q\)\^(-?\d+)$", re.ASCII)
 
 
 class SpectralParam(Value):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from arquiver.cli import main
@@ -381,3 +382,69 @@ def test_vertices_spelled_differently_print_the_same_bytes(data, g):
     plain = main_stdout(*argv([f"{i}:(-q)^{k}" for i, k in points]))
     assert plain[0] == 0 and plain[1]
     assert main_stdout(*argv([spell(i, k) for i, k in points])) == plain
+
+
+def main_result(*argv: str) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of an in-process ``main`` call,
+    argparse's own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+A3_CHAIN = ("--type", "A", "--rank", "3", "--orientation", "1>2,2>3")
+# Each option and grammar that reads an integer, with "{}" where it goes and an
+# ASCII integer that makes the query answer.
+INTEGER_SLOTS = {
+    "rank": (("convex-order", "--type", "A", "--rank", "{}", "--orientation", "1>2,2>3"), "3"),
+    "n": (("denominator", "--g", "A1", "--n", "{}", "--k", "1", "--l", "2"), "4"),
+    "k": (("denominator", "--g", "A1", "--n", "4", "--k", "{}", "--l", "2"), "1"),
+    "l": (("denominator", "--g", "A1", "--n", "4", "--k", "1", "--l", "{}"), "2"),
+    "bound": (("se-quiver", "--g", "A1", "--n", "2", "--se0", "--bound", "{}"), "2"),
+    "t": (("schur-weyl", *A3_CHAIN, "--t", "{}"), "1"),
+    "orientation": (("convex-order", "--type", "A", "--rank", "3", "--orientation", "{}>2,3>2"), "1"),
+    "base-vertex": (("ar-quiver", *A3_CHAIN, "--base", "{}=0"), "2"),
+    "base-value": (("ar-quiver", *A3_CHAIN, "--base", "1={}"), "-1"),
+    "vertex-index": (("dorey", "--g", "A1", "--n", "3", "--a", "{}:q^0", "--b", "1:q^2",
+                      "--c", "2:q^1"), "1"),
+    "q-power": (("dorey", "--g", "A1", "--n", "3", "--a", "1:-q^{}", "--b", "1:q^2",
+                 "--c", "2:q^1"), "-1"),
+    "minus-q-power": (("embed-pair", "--g", "A1", "--n", "3", "--v", "1:(-q)^{}",
+                       "--w", "2:(-q)^1"), "0"),
+    "root": (("minimal-pairs", "--type", "A", "--rank", "3", "--orientation", "1>2,3>2",
+              "--root", "1,{},0"), "1"),
+}
+
+
+def _non_ascii_spellings(text: str) -> list[str]:
+    """The same integer in Arabic-Indic and in fullwidth digits, with a '+',
+    and with an underscore: int() reads each, the CLI reads none."""
+    arabic = "".join(chr(0x660 + int(c)) if c.isdigit() else c for c in text)
+    fullwidth = "".join(chr(0xFF10 + int(c)) if c.isdigit() else c for c in text)
+    plus = "+" + text if not text.startswith("-") else text.replace("-", "-+", 1)
+    return [arabic, fullwidth, plus, text.replace(text.lstrip("-"), "0_" + text.lstrip("-"))]
+
+
+@pytest.mark.parametrize("slot", INTEGER_SLOTS)
+def test_every_integer_is_read_by_one_ascii_rule(slot):
+    """ASCII digits answer; any other spelling int() accepts exits 2 with an
+    error line and prints nothing."""
+    argv, value = INTEGER_SLOTS[slot]
+    code, out, _ = main_result(*(a.replace("{}", value) for a in argv))
+    assert code == 0 and out, slot
+    for spelled in _non_ascii_spellings(value):
+        code, out, err = main_result(*(a.replace("{}", spelled) for a in argv))
+        assert (code, out) == (2, ""), (slot, spelled)
+        assert "error: " in err and spelled in err, (slot, spelled)
+
+
+def test_an_ascii_non_number_keeps_its_message():
+    code, _, err = main_result("denominator", "--g", "A1", "--n", "abc", "--k", "1", "--l", "2")
+    assert code == 2 and err.endswith("error: argument --n: invalid int value: 'abc'\n")
+    code, _, err = main_result("minimal-pairs", *A3_CHAIN, "--root", "1,x,0")
+    assert code == 2
+    assert err.startswith("error: invalid literal for int() with base 10: 'x'\n")

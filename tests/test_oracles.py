@@ -3,7 +3,8 @@ in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
 the monotone-orientation embedding search, the integer-keyed
 ``se_window``, the code-indexed ``minimal_pairs`` with its one-order memo and
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
-the one-class-per-slot, one-table-fetch ``schur_weyl_quiver``, the one-word
+the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` and its integer
+slots, the one-label-per-vertex knit and Gamma_Q read off it, the one-word
 ``positive_roots``, the length-certified w0 check, the representative-built
 Se classes, the parity-key lattice test, the constructed fold fibres, the
 closed-form embedding position and the slotted value classes against the
@@ -20,7 +21,7 @@ import operator
 import pickle
 from dataclasses import FrozenInstanceError, fields as dataclass_fields, make_dataclass
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -792,13 +793,14 @@ def test_minimal_pairs_reuses_only_an_immutable_order():
 
 
 def test_minimal_pairs_reuses_the_index_of_an_equal_order(monkeypatch):
-    """An equal but distinct tuple of tuples (a second root_sequence of the
-    same word) reuses the held index and gives the same answers; a list or a
-    tuple of lists equal to it is still read afresh, and the duplicate,
+    """An equal but distinct tuple of tuples (a copy of the root sequence,
+    root by root) reuses the held index and gives the same answers; a list or
+    a tuple of lists equal to it is still read afresh, and the duplicate,
     length and missing-alpha errors hold while the memo keeps the order."""
     t = FiniteType("D", 5)
     word = adapted_word(all_orientations(t)[5], "w0")
-    seq, again = root_sequence(t, word), root_sequence(t, word)
+    seq = root_sequence(t, word)
+    again = tuple(tuple(list(r)) for r in seq)
     assert again == seq and not any(a is b for a, b in zip(again, seq))
     minimal_pairs(seq, seq[0])
     held = quiver._last_order
@@ -978,6 +980,151 @@ def test_schur_weyl_quiver_checks_the_later_slot_of_a_pair(monkeypatch):
         schur_weyl_quiver(ar, 2)
     text = f"arrow multiplicity ill-defined between {v} and {w}"
     assert str(whole.value) == str(single.value) == text
+
+
+def phi_dict_knit_oracle(q: DynkinQuiver, xi, window):
+    """The integer knit on a dict keyed (i, p), scanning every vertex at every
+    height, with the labels decoded at the end."""
+    lo, hi = window
+    t = q.ftype
+    adj = rootsys._adjacency(t)
+    codes = quiver._gamma_codes(q, xi)
+    knit = {(i, xi[i]): (codes[i], 0) for i in adj}
+    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
+        for p in range(start + d, stop + d, d):
+            for i, nbrs in adj.items():
+                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
+                    continue
+                prev, spin = knit[(i, p - 2 * d)]
+                v = -prev
+                for j in nbrs:
+                    v += knit[(j, p - d)][0]
+                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
+    roots = {}
+    for v, _ in knit.values():
+        if abs(v) not in roots:
+            roots[abs(v)] = rootsys._unknit(v, t.rank)
+    return {key: (roots[abs(v)], spin) for key, (v, spin) in knit.items()}
+
+
+def ar_data_oracle(q: DynkinQuiver, xi):
+    """Gamma_Q on the tight window of xi, its column reading and that word's
+    root sequence, derived from the whole table: the inverse by a loop, the
+    slice by spin, the reading by sorting, the word certified by its length,
+    the arrows by set probes and sorting, m by counting letters."""
+    t = q.ftype
+    window = (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
+    table = phi_dict_knit_oracle(q, xi, window)
+    inv = {}
+    for vertex, key in table.items():
+        if key in inv:
+            raise AssertionError(f"phi is not injective on the window at {key}")
+        inv[key] = vertex
+    gamma = frozenset(v for v, (_, spin) in table.items() if spin == 0)
+    if len(gamma) != t.num_positive_roots():
+        raise AssertionError("spin-0 slice does not match the positive roots")
+    w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
+    if not is_adapted(q, w0):
+        raise AssertionError("column reading is not adapted to the orientation")
+    order = rootsys._w0_sequence(t, w0)
+    if order is None:
+        raise AssertionError("column reading is not a longest-element word")
+    adj = rootsys._adjacency(t)
+    arrows = sorted(((i, p), (j, p + 1)) for i, p in gamma for j in adj[i] if (j, p + 1) in gamma)
+    m = {i: w0.count(i) - 1 for i in t.index_set}
+    return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
+
+
+def schur_weyl_slot_oracle(ar, t: int) -> SchurWeylDatum:
+    """One validated class per slot (vertex_class, or pi when t = 2), its
+    integers read back off the class, one _arrow_mult call per ordered slot
+    pair and the validating LabeledQuiver."""
+    ftype = ar.quiver.ftype
+    g1 = AffineType(ftype.family, 1, ftype.rank)
+    g = g1 if t == 1 else g1.partner()
+    entries, slot = [], {}
+    for r in ftype.index_set:
+        i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
+        entries.append((r, i, p))
+        point = SpectralParam.minus_q_power(p)
+        slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
+    idx = ftype.index_set
+    raw = sequiver._raw_tables(g)
+    keys = [(r, v.i, v.x.zeta, v.x.m, has_sign_quotient(g, v.i)) for r, v in slot.items()]
+    dmat, arrows = {}, []
+    cartan = [[2 * (a == b) for b in idx] for a in idx]
+    for a, i, za, ma, qa in keys:
+        for b, j, zb, mb, qb in keys:
+            if a != b:
+                mult = sequiver._arrow_mult(
+                    raw(i, j), zb - za, mb - ma, qa or qb, slot[a], slot[b]
+                )
+                dmat[a, b] = mult
+                if mult:
+                    arrows.append((str(a), str(b), mult))
+                    cartan[a - 1][b - 1] -= mult
+                    cartan[b - 1][a - 1] -= mult
+    s_map = {r: v.i for r, v in slot.items()}
+    x_map = {r: v.x for r, v in slot.items()}
+    lq = LabeledQuiver(tuple((str(r), f"{i},{p}") for r, i, p in entries), tuple(arrows))
+    qexp = {(a, b): (dmat[a, b], dmat[b, a]) for a, b in combinations(idx, 2)}
+    return SchurWeylDatum(tuple(entries), s_map, x_map, lq, tuple(map(tuple, cartan)), qexp)
+
+
+def _bases(t: FiniteType):
+    """Every base vertex at height 0, and vertex 1 at an odd height."""
+    return [(v, 0) for v in t.index_set] + [(1, 1)]
+
+
+def _same_items(got, want) -> bool:
+    """Equal, and every dict field with its items in the same order."""
+    return got == want and all(
+        list(a.items()) == list(b.items())
+        for a, b in zip(got, want)
+        if isinstance(a, dict)
+    )
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_one_label_map_per_pass_matches_the_dict_knit(t):
+    """Every orientation and base, on the tight window and one padded by 8N:
+    the same entries in the same insertion order."""
+    n = t.rank
+    for q in all_orientations(t):
+        for base in _bases(t):
+            xi = height_function(q, *base)
+            lo, hi = min(xi.values()), max(xi.values())
+            for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
+                got, want = phi(q, xi, window), phi_dict_knit_oracle(q, xi, window)
+                assert list(got.items()) == list(want.items()), (q, base, window)
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_gamma_read_off_the_knit_matches_the_derivations(t):
+    """Every orientation: _tau_data's fields, word and order equal the
+    derivations from the whole table, with the same dict orders, and so does
+    ar_quiver at every base."""
+    for q in all_orientations(t):
+        got = quiver._tau_data.__wrapped__(q)
+        want = ar_data_oracle(q, height_function(q))
+        assert _same_items(got[0]._fields(got[0]), want[0]._fields(want[0])), q
+        assert got[1:] == want[1:], q
+        for base in _bases(t):
+            xi = height_function(q, *base)
+            ar, want = ar_quiver(q, xi), ar_data_oracle(q, xi)[0]
+            assert _same_items(ar._fields(ar), want._fields(want)), (q, base)
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_integer_slots_match_the_object_slots(t):
+    """Every orientation and base, t = 1 and 2: equal data, with the same
+    dict orders."""
+    for q in all_orientations(t):
+        for base in _bases(t):
+            ar = ar_quiver(q, height_function(q, *base))
+            for tw in (1, 2):
+                got, want = schur_weyl_quiver(ar, tw), schur_weyl_slot_oracle(ar, tw)
+                assert _same_items(got._fields(got), want._fields(want)), (q, base, tw)
 
 
 @cache

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from arquiver import quiver, verify
+from arquiver import quiver, rootsys, verify
 from arquiver.dorey import minimal_pair_triple
 from arquiver.quiver import (
     ARData,
@@ -310,3 +310,61 @@ def test_ar_quiver_arrows_stay_in_slice(q, base):
     for src, dst in ar.gamma_arrows:
         assert src in verts and dst in verts
         assert dst[1] == src[1] + 1
+
+
+# Count guards: what the integer build of Gamma_Q must not redo.  Counts, not
+# timers, so a lost saving shows up as a failure on any machine.
+
+
+def test_tau_data_decodes_each_root_once(monkeypatch, cold_tau_cache):
+    """A fresh orientation: one root sequence, no further decode, and every
+    phi label is one of that sequence's roots, each a distinct |v|."""
+    decoded, sequences = [], []
+    true_unknit, true_root_sequence = quiver._unknit, quiver.root_sequence
+
+    def counting_unknit(code, n):
+        decoded.append(code)
+        return true_unknit(code, n)
+
+    def counting_root_sequence(t, word):
+        sequences.append(word)
+        return true_root_sequence(t, word)
+
+    monkeypatch.setattr(quiver, "_unknit", counting_unknit)
+    monkeypatch.setattr(quiver, "root_sequence", counting_root_sequence)
+    for q in all_orientations(D5)[:4] + all_orientations(FiniteType("A", 6))[:4]:
+        ar, word, order = quiver._tau_data(q)
+        assert sequences == [word] and decoded == [], q
+        assert len(set(order)) == len(order) == q.ftype.num_positive_roots()
+        held = {id(r) for r in order}
+        assert {id(root) for root, _ in ar.phi.values()} == held, q
+        assert {id(root) for root, _ in ar.phi_inv} == held, q
+        sequences.clear()
+
+
+def test_root_sequence_hands_back_the_certified_order(monkeypatch, cold_tau_cache):
+    """Right after _tau_data, the w0 word's root sequence is _w0_order(q)
+    itself, found without reflecting a letter."""
+    q = all_orientations(D5)[7]
+    word = adapted_word(q, "w0")
+    monkeypatch.setattr(rootsys, "neighbors", None)  # reflecting would need it
+    monkeypatch.setattr(rootsys, "_adjacency", None)
+    assert root_sequence(D5, word) is quiver._w0_order(q)
+    assert root_sequence(D5, tuple(list(word))) is quiver._w0_order(q)
+
+
+def test_root_sequence_recomputes_a_list_word_or_another_type():
+    q = all_orientations(D5)[7]
+    word = adapted_word(q, "w0")
+    order = root_sequence(D5, word)
+    as_list = root_sequence(D5, list(word))
+    assert as_list == order and as_list is not order
+    assert rootsys._last_sequence[2] is order  # a list word is not held
+    short = (1, 2, 1)
+    a3, a4 = root_sequence(A3, short), root_sequence(FiniteType("A", 4), short)
+    assert a3 == ((1, 0, 0), (1, 1, 0), (0, 1, 0))
+    assert a4 == ((1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0))
+    again = root_sequence(A3, short)
+    assert again == a3 and again is not a3
+    with pytest.raises(ValueError, match="not reduced at position 4"):
+        root_sequence(A2, (1, 2, 1, 2))

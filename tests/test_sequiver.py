@@ -256,3 +256,70 @@ def test_class_membership_is_well_defined(g2, x):
         v = vertex_class(g2, i, x)
         for member in v.members():
             assert vertex_class(g2, i, member) == v
+
+
+def test_schur_weyl_quiver_builds_no_class_when_it_succeeds(monkeypatch):
+    """The slots stay integers: no SeVertex, vertex_class or pi call."""
+    built = []
+    true_init = SeVertex.__init__
+
+    def counting_init(self, g, i, x):
+        built.append((g, i, x))
+        true_init(self, g, i, x)
+
+    monkeypatch.setattr(SeVertex, "__init__", counting_init)
+    monkeypatch.setattr(sequiver, "vertex_class", None)
+    monkeypatch.setattr(sequiver, "pi", None)
+    for q in (
+        DynkinQuiver(FiniteType("A", 5), ((1, 2), (3, 2), (3, 4), (5, 4))),
+        DynkinQuiver(FiniteType("D", 6), ((1, 2), (2, 3), (4, 3), (4, 5), (6, 4))),
+    ):
+        ar = ar_quiver(q)
+        for t in (1, 2):
+            assert schur_weyl_quiver(ar, t).quiver.arrows
+    assert built == []
+
+
+LOOPY = (
+    ((("a", "a"), ("b", "b")), (("a", "b", 1), ("b", "b", 2)), "loop at b"),
+    ((("a", "a"), ("b", "b")), (("a", "b", 1), ("b", "a", 1)), "2-cycle between b and a"),
+    (
+        (("a", "a"), ("b", "b"), ("c", "c")),
+        (("c", "c", 1), ("b", "a", 1), ("a", "b", 3)),
+        "loop at c",
+    ),
+)
+
+
+@pytest.mark.parametrize("vertices, arrows, message", LOOPY)
+def test_trusted_quiver_rejects_loops_and_two_cycles_as_the_validated_one(
+    vertices, arrows, message
+):
+    for build in (LabeledQuiver, LabeledQuiver._trusted):
+        with pytest.raises(ValueError) as info:
+            build(vertices, arrows)
+        assert str(info.value) == message
+
+
+WINDOW_TYPES = [
+    AffineType(family, twist, n)
+    for family, low in (("A", 2), ("D", 4))
+    for twist in (1, 2)
+    for n in range(low, 9)
+]
+
+
+@pytest.mark.parametrize("g", WINDOW_TYPES, ids=lambda g: f"{g.code}_{g.N}")
+def test_trusted_window_quiver_equals_the_validated_one(g):
+    """Bound 2N, seeded by Se0 and by single classes: the quiver se_window
+    builds without re-checking its arrows is the one the validating
+    constructor accepts."""
+    top = g.index_set[-1]
+    for seeds in (
+        [se0_seed(g)],
+        [vertex_class(g, 1, SpectralParam(1, 0))],
+        [vertex_class(g, top, SpectralParam(2, 1))],
+    ):
+        quiver, _ = se_window(g, seeds, 2 * g.N)
+        assert quiver.arrows
+        assert quiver == LabeledQuiver(quiver.vertices, quiver.arrows), (g, seeds)

@@ -8,8 +8,9 @@ from __future__ import annotations
 import pytest
 
 from arquiver import verify
-from arquiver.quiver import DynkinQuiver, all_orientations
+from arquiver.quiver import ConvexPartialOrder, DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
+from arquiver.sequiver import LabeledQuiver, SchurWeylDatum
 from arquiver.spectral import AffineType, p_star
 from test_acceptance import VERIFY_CASES
 
@@ -159,3 +160,100 @@ def test_an_unknown_check_name_is_rejected():
     with pytest.raises(ValueError) as info:
         verify.run_check("nope")
     assert str(info.value) == f"unknown check 'nope'; available: {', '.join(VERIFY_CASES)}"
+
+
+# Injected defects for the checks that guard Gamma_Q, the adapted order and
+# the Schur-Weyl datum: each patches one library function as the check reads
+# it, wrong at one orientation only.
+
+
+def _drop_one_pair(monkeypatch, name: str, target: DynkinQuiver) -> None:
+    """Make the order verify builds with ``name`` lose one pair at ``target``."""
+    true_order = getattr(verify, name)
+
+    def perturbed(ar):
+        order = true_order(ar)
+        if ar.quiver == target:
+            order = ConvexPartialOrder(order.roots, order.pairs - {min(order.pairs)})
+        return order
+
+    monkeypatch.setattr(verify, name, perturbed)
+
+
+@pytest.mark.parametrize("name", ["convex_order_Q", "gamma_path_order"])
+def test_order_eq_paths_catches_a_dropped_pair(monkeypatch, name):
+    _drop_one_pair(monkeypatch, name, D5_Q)
+    report = verify.run_check("order_eq_paths")
+    assert report.passed is False
+    assert report.counterexample == f"D5 {D5_Q.arrows}: coordinate and path orders differ"
+
+
+def test_adapted_refines_catches_a_word_that_is_not_adapted(monkeypatch):
+    """The w0 word of the opposite orientation starts at a sink of Q."""
+    true_word = verify.adapted_word
+    monkeypatch.setattr(
+        verify, "adapted_word",
+        lambda q, target: true_word(q.reverse() if q == D5_Q else q, target),
+    )
+    report = verify.run_check("adapted_refines")
+    assert report.passed is False
+    assert report.counterexample == f"D5 {D5_Q.arrows}: greedy longest word is not adapted"
+
+
+def test_adapted_refines_catches_an_order_that_is_not_convex(monkeypatch):
+    """The highest root moved to the front, ahead of the two roots it sums."""
+    true_sequence = verify.root_sequence
+    word = verify.adapted_word(D5_Q, "w0")
+
+    def perturbed(t, w):
+        seq = true_sequence(t, w)
+        if tuple(w) == word:
+            top = max(seq, key=sum)
+            seq = (top,) + tuple(r for r in seq if r != top)
+        return seq
+
+    monkeypatch.setattr(verify, "root_sequence", perturbed)
+    report = verify.run_check("adapted_refines")
+    assert report.passed is False
+    assert report.counterexample == f"D5 {D5_Q.arrows}: adapted total order is not convex"
+
+
+def test_adapted_refines_catches_a_late_pair(monkeypatch):
+    """The Q-order gains the pair (last root, first root) of the adapted
+    order, which the adapted order places late.  Comparing a root's position
+    with its own passes this case, so the check must compare both roots."""
+    true_order = verify.convex_order_Q
+    seq = verify.root_sequence(D5_Q.ftype, verify.adapted_word(D5_Q, "w0"))
+
+    def perturbed(ar):
+        order = true_order(ar)
+        if ar.quiver == D5_Q:
+            order = ConvexPartialOrder(order.roots, order.pairs | {(seq[-1], seq[0])})
+        return order
+
+    monkeypatch.setattr(verify, "convex_order_Q", perturbed)
+    report = verify.run_check("adapted_refines")
+    assert report.passed is False
+    assert report.counterexample == (
+        f"D5 {D5_Q.arrows}: adapted order places {seq[-1]} after {seq[0]}"
+    )
+
+
+def test_se_j_equals_qrev_catches_a_dropped_arrow(monkeypatch):
+    """The twisted datum of D5_Q at base (2, 0) loses its first arrow."""
+    true_datum = verify.schur_weyl_quiver
+
+    def perturbed(ar, t):
+        sw = true_datum(ar, t)
+        if ar.quiver == D5_Q and ar.height[2] == 0 and t == 2:
+            lq = LabeledQuiver(sw.quiver.vertices, sw.quiver.arrows[1:])
+            sw = SchurWeylDatum(sw.entries, sw.s, sw.X, lq, sw.cartan, sw.qexp)
+        return sw
+
+    monkeypatch.setattr(verify, "schur_weyl_quiver", perturbed)
+    report = verify.run_check("se_j_equals_qrev")
+    want = sorted((str(b), str(a)) for a, b in D5_Q.arrows)
+    assert report.passed is False
+    assert report.counterexample == (
+        f"D5 {D5_Q.arrows} base=(2,0) t=2: got {want[1:]}, want {want}"
+    )
