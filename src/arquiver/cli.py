@@ -23,7 +23,7 @@ _INT = r"\s*-?\d+\s*"
 _ARROW_RE = re.compile(r"(\d+)>(\d+)", re.ASCII)
 _BASE_RE = re.compile(r"(\d+)=(-?\d+)", re.ASCII)
 # Size limits from doubling steps on 2 vCPUs: D64 ar-quiver takes about 0.15 s (D128:
-# 0.75 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.3-1.3 s
+# 0.75 s); se-quiver at N = 16, bound 32 and every parity lattice seeded 0.2-1.3 s
 # (D1 slowest); embed-pair at D1 N = 64 at most about 0.2 s (N = 128: 1.0 s);
 # denominator and dorey, linear in N, under 0.2 s at N = 4096.
 _MAX_RANK, _MAX_BOUND = 64, 32
@@ -71,11 +71,10 @@ def _parse_ar(args: argparse.Namespace) -> ARData:
     """The AR quiver of the orientation, heights normalized by --base."""
     from .quiver import ar_quiver, height_function
     q = _parse_orientation(args)
-    if args.base is None:
-        return ar_quiver(q, height_function(q))
-    m = _BASE_RE.fullmatch(args.base.strip())
+    base = "1=0" if args.base is None else args.base
+    m = _BASE_RE.fullmatch(base.strip())
     if not m:
-        raise ValueError(f"bad base {args.base!r}; expected 'vertex=value'")
+        raise ValueError(f"bad base {base!r}; expected 'vertex=value'")
     return ar_quiver(q, height_function(q, int(m.group(1)), int(m.group(2))))
 
 

@@ -368,7 +368,8 @@ def _root_codes(roots: frozenset[Root]) -> tuple[dict[Root, int], dict[int, tupl
 # The last order passed that cannot change (a tuple of tuples, as
 # root_sequence returns) and its index, first a placeholder no caller holds:
 # callers ask for each alpha of one order in turn, and converting and hashing
-# the order each time cost more than most rows.  An equal tuple of tuples reuses it.
+# the order each time cost more than most rows.  Only that object hits: an equal
+# copy builds its own index and takes the memo.
 _last_order: tuple = (object(), None)
 
 
@@ -383,8 +384,7 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
     """
     global _last_order
     held, index = _last_order
-    fixed = order is held or (type(order) is tuple and all(type(r) is tuple for r in order))
-    if not fixed or order is not held and order != held:
+    if order is not held:
         seq = tuple(map(tuple, order))
         roots = frozenset(seq)
         if len(roots) != len(seq):
@@ -393,7 +393,7 @@ def minimal_pairs(order: Sequence[Root], alpha: Root) -> tuple[tuple[Root, Root]
             raise ValueError("order contains roots of different lengths")
         codes, splits = _root_codes(roots)
         index = seq, codes, {codes[r]: n for n, r in enumerate(seq)}, splits
-        if fixed:
+        if type(order) is tuple and all(type(r) is tuple for r in order):
             _last_order = order, index
     seq, codes, at, splits = index
     c = codes.get(tuple(alpha))

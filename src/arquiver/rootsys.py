@@ -132,20 +132,13 @@ def neighbors(t: FiniteType, i: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _all_distances(t: FiniteType) -> dict[tuple[int, int], int]:
-    dist: dict[tuple[int, int], int] = {}
-    for start in t.index_set:
-        seen = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in neighbors(t, v):
-                    if w not in seen:
-                        seen[w] = seen[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        for v, d in seen.items():
-            dist[(start, v)] = d
+    """Every graph distance: the gap between positions on the chain 1 - 2 - ...,
+    where D_N's fork nodes N-1 and N both sit one step past N-2, two steps apart."""
+    n, fork = t.rank, t.family == "D"
+    pos = {i: min(i, n - 1) if fork else i for i in t.index_set}
+    dist = {(i, j): abs(pos[i] - pos[j]) for i in pos for j in pos}
+    if fork:
+        dist[(n - 1, n)] = dist[(n, n - 1)] = 2
     return dist
 
 
@@ -205,17 +198,12 @@ def apply_word(t: FiniteType, word: Sequence[int], v: Root) -> Root:
 _KNIT_MAX = 31
 
 
-@lru_cache(maxsize=None)
-def _knit_mask(n: int) -> int:
-    return int.from_bytes(bytes([255 ^ _KNIT_MAX]) * n, "little")
-
-
 def _unknit(code: int, n: int) -> Root:
     """The root |v| of a knitted code of a length-n label.  Raises
     AssertionError unless v's digits share one sign and lie within _KNIT_MAX:
     a mixed sign leaves a digit of at least 256 - 127 in |v|'s bytes."""
     a = abs(code)
-    if a >> 8 * n or a & _knit_mask(n):
+    if a >> 8 * n or a & int.from_bytes(bytes([255 ^ _KNIT_MAX]) * n, "little"):
         raise AssertionError(f"knitted label {code} is not a signed root of length {n}")
     return tuple(a.to_bytes(n, "little"))
 
@@ -259,21 +247,17 @@ def root_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...]:
     return out
 
 
-def _w0_sequence(t: FiniteType, word: Sequence[int]) -> tuple[Root, ...] | None:
-    """The word's root sequence when it is a reduced expression of the longest
-    element, else None: w0 is the only element whose reduced words have
-    |Phi+| letters, and root_sequence raises on a word that is not reduced."""
-    if len(word) != t.num_positive_roots():
-        return None
-    try:
-        return root_sequence(t, word)
-    except ValueError:
-        return None
-
-
 def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:
-    """True when the word is a reduced expression of the longest element."""
-    return _w0_sequence(t, word) is not None
+    """True when the word is a reduced expression of the longest element: w0
+    is the only element whose reduced words have |Phi+| letters, and
+    root_sequence raises on a word that is not reduced."""
+    if len(word) != t.num_positive_roots():
+        return False
+    try:
+        root_sequence(t, word)
+    except ValueError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -163,34 +163,26 @@ class LabeledQuiver(Value):
     def __init__(
         self, vertices: tuple[tuple[str, str], ...], arrows: tuple[tuple[str, str, int], ...]
     ) -> None:
-        ids = [vid for vid, _ in vertices]
-        if len(set(ids)) != len(ids):
+        known = {vid for vid, _ in vertices}
+        if len(known) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        known = set(ids)
-        seen = set()
-        for src, dst, mult in arrows:
-            if src not in known or dst not in known:
-                raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
-            if mult < 1:
-                raise ValueError("arrow multiplicity must be >= 1")
-            if src == dst:
-                raise ValueError(f"loop at {src}")
-            if (dst, src) in seen:
-                raise ValueError(f"2-cycle between {src} and {dst}")
-            seen.add((src, dst))
+        srcs, dsts, mults = zip(*arrows, strict=True) if arrows else ((), (), ())
+        # Whole-set tests (ends disjoint from their reversal: no loop, no 2-cycle);
+        # only when one fails are the arrows scanned in order for the first error.
+        if not (known.issuperset(srcs) and known.issuperset(dsts) and min(mults, default=1) >= 1
+                and set(zip(srcs, dsts)).isdisjoint(zip(dsts, srcs))):
+            seen = set()
+            for src, dst, mult in arrows:
+                if src not in known or dst not in known:
+                    raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
+                if mult < 1:
+                    raise ValueError("arrow multiplicity must be >= 1")
+                if src == dst:
+                    raise ValueError(f"loop at {src}")
+                if (dst, src) in seen:
+                    raise ValueError(f"2-cycle between {src} and {dst}")
+                seen.add((src, dst))
         self._init(vertices, arrows)
-
-    @classmethod
-    def _trusted(cls, vertices: tuple, arrows: tuple) -> LabeledQuiver:
-        """The quiver of distinct ids and arrows of multiplicity >= 1 between them:
-        one set test for loops and 2-cycles, then the validating constructor
-        names the first one found."""
-        ends = {(src, dst) for src, dst, _ in arrows}
-        if not ends.isdisjoint({(dst, src) for src, dst in ends}):
-            return cls(vertices, arrows)
-        self = object.__new__(cls)
-        self._init(vertices, arrows)
-        return self
 
 
 def _lattice_classes(
@@ -239,7 +231,7 @@ def se_window(
             quot = quotient[i] or quotient[j]
             mult = _arrow_mult(raw(i, j), hz - zeta, hm - m, quot, labels[n], labels[p])
             arrows.append((labels[n], labels[p], mult))
-    return LabeledQuiver._trusted(tuple(zip(labels, labels)), tuple(arrows)), order
+    return LabeledQuiver(tuple(zip(labels, labels)), tuple(arrows)), order
 
 
 def se0_window(g: AffineType, power_bound: int) -> tuple[SeVertex, ...]:
@@ -263,7 +255,8 @@ class SchurWeylDatum(Value):
 def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
     """The quiver on the simple-root slots of the AR data, for the untwisted
     (t=1) or twisted (t=2) denominators.  A slot is the integers (index, zeta,
-    q-power, sign-quotient flag) of its class's canonical representative."""
+    q-power, sign-quotient flag) of its class's canonical representative, and
+    the class's label, which names it in an error."""
     if t not in (1, 2):
         raise ValueError("t must be 1 or 2")
     ftype = ar.quiver.ftype
@@ -278,19 +271,14 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
         quotient = has_sign_quotient(g, j)
         zeta -= 2 if quotient and zeta >= 2 else 0
         s_map[r], x_map[r] = j, SpectralParam(zeta, p)
-        slots.append((r, j, zeta, p, quotient))
+        slots.append((r, j, zeta, p, quotient, f"{j}:{x_map[r]}"))
     raw, dmat, arrows = _raw_tables(g), [[0] * (n + 1) for _ in range(n + 1)], []
     cartan = [[0] * n for _ in idx]
-    for a, i, za, ma, qa in slots:
+    for a, i, za, ma, qa, la in slots:
         cartan[a - 1][a - 1] = 2
-        for b, j, zb, mb, qb in slots:
+        for b, j, zb, mb, qb, lb in slots:
             if a != b:
-                roots, zeta = raw(i, j), (zb - za) % 4
-                mult = roots.get((zeta, mb - ma), 0)
-                # The representative pairs give the ratios r and -r iff a slot is a sign-quotient node.
-                if (qa or qb) and roots.get(((zeta + 2) % 4, mb - ma), 0) != mult:
-                    v, w = SeVertex(g, i, x_map[a]), SeVertex(g, j, x_map[b])
-                    raise AssertionError(f"arrow multiplicity ill-defined between {v} and {w}")
+                mult = _arrow_mult(raw(i, j), zb - za, mb - ma, qa or qb, la, lb)
                 if mult:
                     dmat[a][b] = mult
                     arrows.append((str(a), str(b), mult))
@@ -298,5 +286,5 @@ def schur_weyl_quiver(ar: ARData, t: int) -> SchurWeylDatum:
                     cartan[b - 1][a - 1] -= mult
     vertices = tuple((str(r), f"{i},{p}") for r, i, p in entries)
     qexp = {(a, b): (dmat[a][b], dmat[b][a]) for a, b in combinations(idx, 2)}
-    return SchurWeylDatum(tuple(entries), s_map, x_map, LabeledQuiver._trusted(
+    return SchurWeylDatum(tuple(entries), s_map, x_map, LabeledQuiver(
         vertices, tuple(arrows)), tuple(map(tuple, cartan)), qexp)

@@ -448,3 +448,101 @@ def test_an_ascii_non_number_keeps_its_message():
     code, _, err = main_result("minimal-pairs", *A3_CHAIN, "--root", "1,x,0")
     assert code == 2
     assert err.startswith("error: invalid literal for int() with base 10: 'x'\n")
+
+
+
+def test_an_empty_base_exits_2():
+    for command in ("ar-quiver", "schur-weyl"):
+        extra = ("--t", "1") if command == "schur-weyl" else ()
+        code, out, err = main_result(command, *A3_CHAIN, *extra, "--base", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad base ''; expected 'vertex=value'\n")
+
+# The CLI grammar as a property: every query, with valid and malformed tokens
+# mixed, answers with JSON or DOT and exit 0, or exits 2 with an error line.
+BAD_INTS = ["x", "", "1.5", "٣", "+2", "1_0"]
+PARAMS = ["q^{}", "-q^{}", "iq^{}", "-iq^{}", "+q^{}", "(-q)^{}"]
+BAD_PARAMS = ["q^", "q^x", "(-q)^", "q", "", "iq^1.5", "q^٣", "z^1"]
+
+
+def _token(data, valid, bad: list[str]) -> str:
+    """A valid token three times in four, else a malformed one."""
+    if not bad or data.draw(st.integers(0, 3)) < 3:
+        return data.draw(valid)
+    return data.draw(st.sampled_from(bad))
+
+
+def _classical_args(data, command: str) -> list[str]:
+    family = _token(data, st.sampled_from("AD"), ["E", "a"])
+    rank = _token(data, st.integers(4, 6).map(str), [*BAD_INTS, "65", "-1", "1", "2", "3"])
+    args = ["--type", family, "--rank", rank]
+    t = None
+    if family in "AD" and rank.isdigit() and (2 if family == "A" else 4) <= int(rank) <= 6:
+        t = FiniteType(family, int(rank))
+    chain = ",".join(f"{i}>{i + 1}" for i in range(1, int(rank) if rank.isdigit() else 3))
+    good = st.sampled_from(all_orientations(t)).map(
+        lambda q: ",".join(f"{a}>{b}" for a, b in q.arrows)
+    ) if t else st.just(chain)
+    args += ["--orientation", _token(data, good, ["1>2,2>1", "1-2", "", "1>9", "1>2", chain])]
+    if command == "minimal-pairs":
+        roots = sorted(positive_roots(t)) if t else [(1, 0, 0)]
+        good = st.sampled_from(roots).map(lambda r: ",".join(map(str, r)))
+        args += ["--root", _token(data, good, ["9,9", "1,x", "", "1,1,1,1,1,1,1", "2,2,2"])]
+    if command in ("ar-quiver", "schur-weyl") and data.draw(st.booleans()):
+        base = st.tuples(st.integers(1, 6), st.integers(-3, 3)).map(lambda p: f"{p[0]}={p[1]}")
+        args += ["--base", _token(data, base, ["", "1=", "=1", "9=0", "1=a", "1:0", "١=0"])]
+    if command == "schur-weyl":
+        args += ["--t", _token(data, st.sampled_from("12"), ["3", "x", "0"])]
+    return args
+
+
+def _point(data, top: int) -> str:
+    i = _token(data, st.integers(1, top).map(str), ["0", str(top + 1), "x", ""])
+    k = data.draw(st.integers(-4, 4))
+    param = _token(data, st.sampled_from(PARAMS).map(lambda p: p.format(k)), BAD_PARAMS)
+    return _token(data, st.just(f"{i}:{param}"), [i, f":{param}", f"{i}:"])
+
+
+def _affine_args(data, command: str) -> list[str]:
+    code = _token(data, st.sampled_from(["A1", "A2", "D1", "D2"]), ["E1", "A3", "A"])
+    cap = {"denominator": 4096, "se-quiver": 16, "dorey": 4096, "embed-pair": 64}[command]
+    # The caps themselves only where the query is cheap.
+    big = [str(cap)] if command in ("denominator", "dorey") else []
+    n = _token(data, st.integers(4, 6).map(str), [*BAD_INTS, str(cap + 1), "0", "-3", "2", *big])
+    args = ["--g", code, "--n", n]
+    top = int(n) if n.isdigit() and 2 <= int(n) <= 6 else 4
+    if command == "denominator":
+        for option in ("--k", "--l"):
+            args += [option, _token(data, st.integers(1, top).map(str), [*BAD_INTS, "0", "9"])]
+    elif command == "se-quiver":
+        if data.draw(st.booleans()):
+            args.append("--se0")
+        for _ in range(data.draw(st.integers(0, 2))):
+            args += ["--seed", _point(data, top)]
+        if data.draw(st.booleans()):
+            args += ["--bound", _token(data, st.integers(0, 4).map(str), [*BAD_INTS, "33", "-1"])]
+    else:
+        options = ("--a", "--b", "--c") if command == "dorey" else ("--v", "--w")
+        for option in options:
+            args += [option, _point(data, top)]
+    return args
+
+
+QUERIES = ("ar-quiver", "convex-order", "minimal-pairs", "denominator", "se-quiver",
+           "schur-weyl", "dorey", "embed-pair")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_query_answers_or_exits_2_with_an_error_line(data):
+    command = data.draw(st.sampled_from(QUERIES))
+    classical = command in ("ar-quiver", "convex-order", "minimal-pairs", "schur-weyl")
+    argv = [command, *(_classical_args if classical else _affine_args)(data, command)]
+    if "--format" in HELP_OPTIONS[command] and data.draw(st.booleans()):
+        argv += ["--format", _token(data, st.sampled_from(["json", "dot"]), ["xml", ""])]
+    code, out, err = main_result(*argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "" and "error: " in err, (argv, err)
+    elif not out.startswith("digraph G {"):
+        json.loads(out)

@@ -1,11 +1,13 @@
 """Differential tests: the integer-coded incremental ``root_sequence``, the
 in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
 the monotone-orientation embedding search, the integer-keyed
-``se_window``, the code-indexed ``minimal_pairs`` with its one-order memo and
+``se_window``, the one ``LabeledQuiver`` constructor with its whole-set tests,
+the code-indexed ``minimal_pairs`` with its identity memo and
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
 the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` and its integer
 slots, the one-label-per-vertex knit and Gamma_Q read off it, the one-word
-``positive_roots``, the length-certified w0 check, the representative-built
+``positive_roots``, the length-certified w0 check, the closed-form Dynkin
+distances, the representative-built
 Se classes, the parity-key lattice test, the constructed fold fibres, the
 closed-form embedding position and the slotted value classes against the
 slow paths and frozen dataclasses they replaced, kept here as oracles.  The
@@ -19,9 +21,10 @@ import importlib
 import inspect
 import operator
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields as dataclass_fields, make_dataclass
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -585,6 +588,79 @@ def test_se_window_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
             window(g, seeds, 3)
 
 
+def labeled_quiver_oracle(vertices, arrows):
+    """The fields of the quiver, checked arrow by arrow: duplicate ids first,
+    then per arrow in order the endpoint, multiplicity, loop and 2-cycle
+    checks, raising the first error found."""
+    ids = [vid for vid, _ in vertices]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate vertex ids")
+    known = set(ids)
+    seen = set()
+    for src, dst, mult in arrows:
+        if src not in known or dst not in known:
+            raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
+        if mult < 1:
+            raise ValueError("arrow multiplicity must be >= 1")
+        if src == dst:
+            raise ValueError(f"loop at {src}")
+        if (dst, src) in seen:
+            raise ValueError(f"2-cycle between {src} and {dst}")
+        seen.add((src, dst))
+    return vertices, arrows
+
+
+def _quiver_fields(vertices, arrows):
+    q = LabeledQuiver(vertices, arrows)
+    return q.vertices, q.arrows
+
+
+def _defect(kind: str, vertices: list, arrows: list, rng) -> None:
+    """Edit one vertex id or one arrow in place so that it fails ``kind``."""
+    k = rng.randrange(len(arrows))
+    src, dst, mult = arrows[k]
+    if kind == "duplicate id":
+        a, b = rng.sample(range(len(vertices)), 2)
+        vertices[b] = (vertices[a][0], vertices[b][1])
+    elif kind == "endpoint":
+        arrows[k] = (src, "nowhere", mult) if rng.random() < 0.5 else ("nowhere", dst, mult)
+    elif kind == "multiplicity":
+        arrows[k] = (src, dst, rng.choice((0, -1)))
+    elif kind == "loop":
+        arrows[k] = (src, src, mult)
+    else:  # a 2-cycle: arrow k becomes the reverse of another arrow
+        other = arrows[rng.choice([n for n in range(len(arrows)) if n != k])]
+        arrows[k] = (other[1], other[0], mult)
+
+
+DEFECTS = ("duplicate id", "endpoint", "multiplicity", "loop", "2-cycle")
+
+
+@pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")
+def test_one_constructor_matches_the_per_arrow_scan(g):
+    """The windows of bound 2N seeded by Se0 and by single classes, as built,
+    with one defect of each kind and with two defects of distinct kinds: the
+    same quiver or the same first error, text and all."""
+    rng = random.Random(f"{g.code}_{g.N}")
+    top = g.index_set[-1]
+    for seeds in (
+        [se0_seed(g)],
+        [vertex_class(g, 1, SpectralParam(1, 0))],
+        [vertex_class(g, top, SpectralParam(2, 1))],
+    ):
+        quiver, _ = se_window(g, seeds, 2 * g.N)
+        assert len(quiver.arrows) > 1
+        cases = [()] + [(kind,) for kind in DEFECTS] + list(permutations(DEFECTS, 2))
+        for kinds in cases:
+            vertices, arrows = list(quiver.vertices), list(quiver.arrows)
+            for kind in kinds:
+                _defect(kind, vertices, arrows, rng)
+            vertices, arrows = tuple(vertices), tuple(arrows)
+            want = _outcome(labeled_quiver_oracle, vertices, arrows)
+            assert _outcome(_quiver_fields, vertices, arrows) == want, (seeds, kinds)
+            assert (want == (quiver.vertices, quiver.arrows)) == (not kinds)
+
+
 def minimal_pairs_oracle(order, alpha):
     """Copy the order, rebuild its position dict and subtract root tuples,
     then test every pair against every other for nesting."""
@@ -792,19 +868,18 @@ def test_minimal_pairs_reuses_only_an_immutable_order():
     assert quiver._last_order[0] is second
 
 
-def test_minimal_pairs_reuses_the_index_of_an_equal_order(monkeypatch):
-    """An equal but distinct tuple of tuples (a copy of the root sequence,
-    root by root) reuses the held index and gives the same answers; a list or
-    a tuple of lists equal to it is still read afresh, and the duplicate,
-    length and missing-alpha errors hold while the memo keeps the order."""
+def test_minimal_pairs_builds_its_own_index_for_an_equal_order(monkeypatch):
+    """The memo goes by identity.  The held order hits; an equal but distinct
+    tuple of tuples (a copy of the root sequence, root by root) builds its
+    own index once and takes the memo, and then the first order builds
+    again.  A list or a tuple of lists equal to it is still read afresh, and
+    the duplicate, length and missing-alpha errors leave the memo alone."""
     t = FiniteType("D", 5)
-    word = adapted_word(all_orientations(t)[5], "w0")
-    seq = root_sequence(t, word)
+    seq = root_sequence(t, adapted_word(all_orientations(t)[5], "w0"))
     again = tuple(tuple(list(r)) for r in seq)
     assert again == seq and not any(a is b for a, b in zip(again, seq))
     minimal_pairs(seq, seq[0])
-    held = quiver._last_order
-    assert held[0] is seq
+    assert quiver._last_order[0] is seq
     builds = []
     true_root_codes = quiver._root_codes
 
@@ -813,15 +888,17 @@ def test_minimal_pairs_reuses_the_index_of_an_equal_order(monkeypatch):
         return true_root_codes(roots)
 
     monkeypatch.setattr(quiver, "_root_codes", counting)
-    for alpha in again:
-        assert minimal_pairs(again, alpha) == minimal_pairs_oracle(seq, alpha)
-        assert quiver._last_order is held and quiver._last_order[0] is seq
-    assert builds == []
+    for order in (seq, again):
+        for alpha in order:
+            assert minimal_pairs(order, alpha) == minimal_pairs_oracle(seq, alpha)
+            assert quiver._last_order[0] is order
+    assert builds == [len(seq)]
+    held = quiver._last_order
     alpha = seq[len(seq) // 2]
     for fresh in (list(again), tuple(list(r) for r in again), [list(r) for r in again]):
         assert minimal_pairs(fresh, alpha) == minimal_pairs_oracle(seq, alpha)
         assert quiver._last_order is held
-    assert builds == [len(seq)] * 3
+    assert builds == [len(seq)] * 4
     errors = (
         (again + (again[0],), alpha, "order contains duplicates"),
         (again[:-1] + ((1,),), alpha, "order contains roots of different lengths"),
@@ -832,6 +909,8 @@ def test_minimal_pairs_reuses_the_index_of_an_equal_order(monkeypatch):
         for f in (minimal_pairs, minimal_pairs_oracle):
             assert _outcome(f, order, root) == ("ValueError", message)
         assert quiver._last_order is held
+    assert minimal_pairs(seq, alpha) == minimal_pairs_oracle(seq, alpha)
+    assert builds == [len(seq)] * 5 and quiver._last_order[0] is seq
 
 
 def class_arrow_mult_oracle(v: SeVertex, w: SeVertex) -> int:
@@ -1026,9 +1105,9 @@ def ar_data_oracle(q: DynkinQuiver, xi):
     w0 = tuple(i for _, i in sorted((-p, i) for i, p in gamma))
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
-    order = rootsys._w0_sequence(t, w0)
-    if order is None:
+    if not rootsys.represents_w0(t, w0):
         raise AssertionError("column reading is not a longest-element word")
+    order = root_sequence(t, w0)
     adj = rootsys._adjacency(t)
     arrows = sorted(((i, p), (j, p + 1)) for i, p in gamma for j in adj[i] if (j, p + 1) in gamma)
     m = {i: w0.count(i) - 1 for i in t.index_set}
@@ -1154,6 +1233,31 @@ def test_positive_roots_from_one_word_match_the_reflection_closure(t):
     assert positive_roots(t) == positive_roots_oracle(t)
 
 
+def all_distances_oracle(t: FiniteType) -> dict[tuple[int, int], int]:
+    """Breadth-first search from every vertex of the diagram."""
+    dist = {}
+    for start in t.index_set:
+        seen = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in neighbors(t, v):
+                    if w not in seen:
+                        seen[w] = seen[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        for v, d in seen.items():
+            dist[(start, v)] = d
+    return dist
+
+
+def test_closed_form_distances_match_the_breadth_first_search():
+    """Every pair of vertices of A2-A64 and D4-D64, computed past the cache."""
+    for t in [FiniteType("A", n) for n in range(2, 65)] + [FiniteType("D", n) for n in range(4, 65)]:
+        assert rootsys._all_distances.__wrapped__(t) == all_distances_oracle(t), t
+
+
 def w0_sequence_oracle(t: FiniteType, word):
     """The root sequence, kept when its set is all of the positive roots."""
     try:
@@ -1161,6 +1265,11 @@ def w0_sequence_oracle(t: FiniteType, word):
     except ValueError:
         return None
     return seq if set(seq) == positive_roots_oracle(t) else None
+
+
+def _w0_sequence(t: FiniteType, word):
+    """The root sequence of a word represents_w0 accepts, else None."""
+    return root_sequence(t, word) if rootsys.represents_w0(t, word) else None
 
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
@@ -1171,9 +1280,8 @@ def test_w0_by_length_matches_the_root_set_check(t):
         for target in ("w0", "coxeter"):
             word = adapted_word(q, target)
             for w in (word, word[::-1]):
-                seq = rootsys._w0_sequence(t, w)
+                seq = _w0_sequence(t, w)
                 assert seq == w0_sequence_oracle(t, w)
-                assert rootsys.represents_w0(t, w) == (seq is not None)
                 verdicts.append(seq is not None)
     assert any(verdicts) and not all(verdicts)
 
@@ -1200,8 +1308,7 @@ def near_w0_words(draw):
 @given(near_w0_words())
 def test_w0_by_length_matches_the_root_set_check_on_random_words(tw):
     t, word = tw
-    assert rootsys._w0_sequence(t, word) == w0_sequence_oracle(t, word)
-    assert rootsys.represents_w0(t, word) == (w0_sequence_oracle(t, word) is not None)
+    assert _w0_sequence(t, word) == w0_sequence_oracle(t, word)
 
 
 def lattice_test_oracle(g: AffineType, seed: SeVertex):
@@ -1439,21 +1546,7 @@ def _se_vertex_post_init(self):
 
 
 def _labeled_quiver_post_init(self):
-    ids = [vid for vid, _ in self.vertices]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate vertex ids")
-    known = set(ids)
-    seen = set()
-    for src, dst, mult in self.arrows:
-        if src not in known or dst not in known:
-            raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
-        if mult < 1:
-            raise ValueError("arrow multiplicity must be >= 1")
-        if src == dst:
-            raise ValueError(f"loop at {src}")
-        if (dst, src) in seen:
-            raise ValueError(f"2-cycle between {src} and {dst}")
-        seen.add((src, dst))
+    labeled_quiver_oracle(self.vertices, self.arrows)
 
 
 def _dorey_triple_post_init(self):

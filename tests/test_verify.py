@@ -8,6 +8,7 @@ from __future__ import annotations
 import pytest
 
 from arquiver import verify
+from arquiver.dorey import DoreyVerdict
 from arquiver.quiver import ConvexPartialOrder, DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
 from arquiver.sequiver import LabeledQuiver, SchurWeylDatum
@@ -256,4 +257,114 @@ def test_se_j_equals_qrev_catches_a_dropped_arrow(monkeypatch):
     assert report.passed is False
     assert report.counterexample == (
         f"D5 {D5_Q.arrows} base=(2,0) t=2: got {want[1:]}, want {want}"
+    )
+
+
+# Injected defects for the checks that guard the minimal pairs and the fold:
+# one per failure branch, each wrong at one orientation or one type only.
+
+A4_Q = all_orientations(FiniteType("A", 4))[3]
+A4_AT = f"A4 {A4_Q.arrows}"
+
+
+def _first_pair_case(q: DynkinQuiver) -> str:
+    """The label of the first minimal-pair case minimal_pairs_dorey reads at q."""
+    order = verify._w0_order(q)
+    alpha, pair = next((a, p) for a in order for p in verify.minimal_pairs(order, a))
+    return f"A4 {q.arrows} alpha={alpha} pair={pair}"
+
+
+def _at_target(monkeypatch, name: str, wrong) -> None:
+    """Make verify's ``name`` (a verdict) answer ``wrong(*args)`` while the
+    check reads the minimal-pair triples of A4_Q, and truly elsewhere."""
+    true_fn, true_triple, at = getattr(verify, name), verify.minimal_pair_triple, []
+
+    def tracking(ar, alpha, pair, t=1):
+        at[:] = [ar.quiver]
+        return true_triple(ar, alpha, pair, t)
+
+    monkeypatch.setattr(verify, "minimal_pair_triple", tracking)
+    monkeypatch.setattr(
+        verify, name, lambda *args: wrong(*args) if at == [A4_Q] else true_fn(*args)
+    )
+
+
+def test_minimal_pairs_dorey_catches_an_order_that_is_not_the_words(monkeypatch):
+    true_order = verify._w0_order
+    monkeypatch.setattr(
+        verify, "_w0_order", lambda q: true_order(q)[::-1] if q == A4_Q else true_order(q)
+    )
+    report = verify.run_check("minimal_pairs_dorey")
+    assert report.passed is False
+    assert report.counterexample == f"{A4_AT}: w0 order is not its word's root sequence"
+
+
+def test_minimal_pairs_dorey_catches_a_failing_triple_construction(monkeypatch):
+    true_triple = verify.minimal_pair_triple
+
+    def broken(ar, alpha, pair, t=1):
+        if ar.quiver == A4_Q:
+            raise AssertionError("pair is not minimal")
+        return true_triple(ar, alpha, pair, t)
+
+    monkeypatch.setattr(verify, "minimal_pair_triple", broken)
+    report = verify.run_check("minimal_pairs_dorey")
+    assert report.passed is False
+    assert report.counterexample == f"{_first_pair_case(A4_Q)}: pair is not minimal"
+
+
+def test_minimal_pairs_dorey_catches_a_tag_of_the_other_family(monkeypatch):
+    _at_target(monkeypatch, "dorey_untwisted", lambda triple: DoreyVerdict(True, "D-i"))
+    report = verify.run_check("minimal_pairs_dorey")
+    assert report.passed is False
+    assert report.counterexample == f"{_first_pair_case(A4_Q)}: tag D-i"
+
+
+def test_minimal_pairs_dorey_catches_a_failing_folded_triple(monkeypatch):
+    _at_target(monkeypatch, "dorey_twisted", lambda triple: DoreyVerdict(False))
+    report = verify.run_check("minimal_pairs_dorey")
+    assert report.passed is False
+    assert report.counterexample == f"{_first_pair_case(A4_Q)}: folded triple fails"
+
+
+A1_4_DOM = verify.se0_window(A1_4, 16)
+A2_4 = A1_4.partner()
+
+
+def test_pi_iso_on_se0_catches_a_fold_that_is_not_injective(monkeypatch):
+    """The first Se0 class of A1 N=4 lands on the image of the second."""
+    true_pi, (v, w) = verify.pi, A1_4_DOM[:2]
+    monkeypatch.setattr(
+        verify, "pi",
+        lambda g, i, x: true_pi(g, w.i, w.x) if (g, i, x) == (A1_4, v.i, v.x) else true_pi(g, i, x),
+    )
+    report = verify.run_check("pi_iso_on_se0")
+    assert report.passed is False
+    assert report.counterexample == "A1 N=4: fold not injective on the Se0 window"
+
+
+def test_pi_iso_on_se0_catches_an_image_that_is_not_the_twisted_window(monkeypatch):
+    """The twisted Se0 window of A2 N=4 loses its last class."""
+    true_window = verify.se0_window
+    monkeypatch.setattr(
+        verify, "se0_window",
+        lambda g, bound: true_window(g, bound)[:-1] if g == A2_4 else true_window(g, bound),
+    )
+    report = verify.run_check("pi_iso_on_se0")
+    assert report.passed is False
+    assert report.counterexample == "A1 N=4: fold image is not the twisted Se0 window"
+
+
+def test_pi_iso_on_se0_catches_a_multiplicity_that_changes(monkeypatch):
+    """Every twisted multiplicity of A2 N=4 gains one: the first ordered pair
+    of the untwisted window sees it."""
+    true_mult = verify.class_arrow_mult
+    monkeypatch.setattr(
+        verify, "class_arrow_mult", lambda v, w: true_mult(v, w) + (v.g == A2_4)
+    )
+    report = verify.run_check("pi_iso_on_se0")
+    v, w = A1_4_DOM[:2]
+    assert report.passed is False
+    assert report.counterexample == (
+        f"A1 N=4: multiplicity changes under the fold at {v} -> {w}"
     )
