@@ -163,25 +163,21 @@ class LabeledQuiver(Value):
     def __init__(
         self, vertices: tuple[tuple[str, str], ...], arrows: tuple[tuple[str, str, int], ...]
     ) -> None:
-        known = {vid for vid, _ in vertices}
-        if len(known) != len(vertices):
+        ids = [vid for vid, _ in vertices]
+        if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex ids")
-        srcs, dsts, mults = zip(*arrows, strict=True) if arrows else ((), (), ())
-        # Whole-set tests (ends disjoint from their reversal: no loop, no 2-cycle);
-        # only when one fails are the arrows scanned in order for the first error.
-        if not (known.issuperset(srcs) and known.issuperset(dsts) and min(mults, default=1) >= 1
-                and set(zip(srcs, dsts)).isdisjoint(zip(dsts, srcs))):
-            seen = set()
-            for src, dst, mult in arrows:
-                if src not in known or dst not in known:
-                    raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
-                if mult < 1:
-                    raise ValueError("arrow multiplicity must be >= 1")
-                if src == dst:
-                    raise ValueError(f"loop at {src}")
-                if (dst, src) in seen:
-                    raise ValueError(f"2-cycle between {src} and {dst}")
-                seen.add((src, dst))
+        known = set(ids)
+        seen = set()
+        for src, dst, mult in arrows:
+            if src not in known or dst not in known:
+                raise ValueError(f"arrow endpoint not a vertex: {src}->{dst}")
+            if mult < 1:
+                raise ValueError("arrow multiplicity must be >= 1")
+            if src == dst:
+                raise ValueError(f"loop at {src}")
+            if (dst, src) in seen:
+                raise ValueError(f"2-cycle between {src} and {dst}")
+            seen.add((src, dst))
         self._init(vertices, arrows)
 
 

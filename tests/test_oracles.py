@@ -1,7 +1,7 @@
 """Differential tests: the integer-coded incremental ``root_sequence``, the
 in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
 the monotone-orientation embedding search, the integer-keyed
-``se_window``, the one ``LabeledQuiver`` constructor with its whole-set tests,
+``se_window``, the one ``LabeledQuiver`` constructor,
 the code-indexed ``minimal_pairs`` with its identity memo and
 root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
 the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` and its integer
@@ -618,7 +618,7 @@ def _quiver_fields(vertices, arrows):
 def _defect(kind: str, vertices: list, arrows: list, rng) -> None:
     """Edit one vertex id or one arrow in place so that it fails ``kind``."""
     k = rng.randrange(len(arrows))
-    src, dst, mult = arrows[k]
+    src, dst, mult = (*arrows[k], 1)[:3]  # arrow k may already have lost its multiplicity
     if kind == "duplicate id":
         a, b = rng.sample(range(len(vertices)), 2)
         vertices[b] = (vertices[a][0], vertices[b][1])
@@ -628,12 +628,14 @@ def _defect(kind: str, vertices: list, arrows: list, rng) -> None:
         arrows[k] = (src, dst, rng.choice((0, -1)))
     elif kind == "loop":
         arrows[k] = (src, src, mult)
+    elif kind == "arity":  # one arrow of two or of four fields among triples
+        arrows[k] = (src, dst) if rng.random() < 0.5 else (src, dst, mult, mult)
     else:  # a 2-cycle: arrow k becomes the reverse of another arrow
         other = arrows[rng.choice([n for n in range(len(arrows)) if n != k])]
         arrows[k] = (other[1], other[0], mult)
 
 
-DEFECTS = ("duplicate id", "endpoint", "multiplicity", "loop", "2-cycle")
+DEFECTS = ("duplicate id", "endpoint", "multiplicity", "loop", "arity", "2-cycle")
 
 
 @pytest.mark.parametrize("g", SE_TYPES, ids=lambda g: f"{g.code}_{g.N}")

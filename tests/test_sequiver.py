@@ -295,8 +295,7 @@ LOOPY = (
 def test_trusted_quiver_rejects_loops_and_two_cycles_as_the_validated_one(
     vertices, arrows, message
 ):
-    """A failed whole-set test names the first loop or 2-cycle in arrow order,
-    as the per-arrow scan (tests/test_oracles.py) does."""
+    """The constructor names the first loop or 2-cycle in arrow order."""
     with pytest.raises(ValueError) as info:
         LabeledQuiver(vertices, arrows)
     assert str(info.value) == message
@@ -313,7 +312,7 @@ WINDOW_TYPES = [
 @pytest.mark.parametrize("g", WINDOW_TYPES, ids=lambda g: f"{g.code}_{g.N}")
 def test_trusted_window_quiver_equals_the_validated_one(g):
     """Bound 2N, seeded by Se0 and by single classes: the quiver se_window
-    builds passes the constructor's whole-set tests again unchanged."""
+    builds is rebuilt unchanged from its own fields."""
     top = g.index_set[-1]
     for seeds in (
         [se0_seed(g)],
