@@ -1,18 +1,13 @@
-"""Differential tests: the integer-coded incremental ``root_sequence``, the
-in-degree ``is_adapted`` and Coxeter sweep, the integer-coded knitted ``phi``,
-the monotone-orientation embedding search, the integer-keyed
-``se_window``, the one ``LabeledQuiver`` constructor,
-the code-indexed ``minimal_pairs`` with its identity memo and
-root codes and splits shared per root set, the one-lookup ``class_arrow_mult``,
-the one-class-per-slot, one-table-fetch ``schur_weyl_quiver`` and its integer
-slots, the one-label-per-vertex knit and Gamma_Q read off it, the one-word
-``positive_roots``, the length-certified w0 check, the closed-form Dynkin
-distances, the representative-built
-Se classes, the parity-key lattice test, the constructed fold fibres, the
-closed-form embedding position and the slotted value classes against the
-slow paths and frozen dataclasses they replaced, kept here as oracles.  The
-quiver reflection (``quiver_sources``, ``quiver_reflect``) and root
-subtraction those oracles use live here too: no library path needs them."""
+"""Differential tests: each fast path against one oracle per concept, which
+computes it from its definition and lives here, as no library path needs it.
+Root sequences replay prefixes; adapted words, ``is_adapted`` and the
+positive roots reflect; gamma roots, distances and fold fibres search; phi
+walks the Coxeter path, and Gamma_Q is derived from that table; minimal
+pairs, embeddings, Se windows, lattices and arrow multiplicities scan every
+pair, point or representative; the Schur-Weyl datum builds validated
+classes; ``LabeledQuiver`` scans arrow by arrow; the value classes are the
+frozen dataclasses they replaced.  A fast path that replaces another fast
+path updates the existing differential test; it does not add an oracle."""
 
 from __future__ import annotations
 
@@ -24,7 +19,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError, fields as dataclass_fields, make_dataclass
 from functools import cache
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -158,10 +153,20 @@ def is_adapted_oracle(q: DynkinQuiver, word) -> bool:
     return True
 
 
+def gamma_root_oracle(q: DynkinQuiver, i: int) -> tuple[int, ...]:
+    """One breadth-first search back along the arrows from i."""
+    seen, frontier = {i}, {i}
+    while frontier:
+        frontier = {a for a, b in q.arrows if b in frontier and a not in seen}
+        seen |= frontier
+    return tuple(int(v in seen) for v in q.ftype.index_set)
+
+
 def phi_oracle(q: DynkinQuiver, xi, window):
-    """Coxeter path: walk each row from (gamma_root(q, i), 0) at xi_i with
-    tables of the adapted Coxeter word (down) and its inverse (up) on the
-    positive roots, negating and moving the spin when an image turns negative."""
+    """Coxeter path: walk each row from (gamma root, 0) at xi_i, the root
+    found by breadth-first search, with tables of the adapted Coxeter word
+    (down) and its inverse (up) on the positive roots, negating and moving the
+    spin when an image turns negative."""
     t = q.ftype
     word = adapted_word(q, "coxeter")
     tables = (
@@ -171,9 +176,10 @@ def phi_oracle(q: DynkinQuiver, xi, window):
     lo, hi = window
     table = {}
     for i in t.index_set:
-        table[(i, xi[i])] = (gamma_root(q, i), 0)
+        seed = (gamma_root_oracle(q, i), 0)
+        table[(i, xi[i])] = seed
         for step, act in tables:
-            root, spin, p = gamma_root(q, i), 0, xi[i] + step
+            (root, spin), p = seed, xi[i] + step
             while lo <= p <= hi:
                 root = act[root]
                 if min(root) < 0:
@@ -183,63 +189,73 @@ def phi_oracle(q: DynkinQuiver, xi, window):
     return table
 
 
-@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_knitted_phi_matches_the_coxeter_path(t):
-    """Every orientation, two bases, the old padded window and the tight one."""
-    n = t.rank
-    for q in all_orientations(t):
-        for base in ((1, 0), (n, 3)):
-            xi = height_function(q, *base)
-            lo, hi = min(xi.values()), max(xi.values())
-            padded = phi_oracle(q, xi, (lo - 8 * n, hi + 8 * n))
-            assert len(set(padded.values())) == len(padded), (q, base)
-            assert phi(q, xi, (lo - 8 * n, hi + 8 * n)) == padded, (q, base)
-            tight = phi_oracle(q, xi, (lo - 2 * n - 2, hi))
-            assert phi(q, xi, (lo - 2 * n - 2, hi)) == tight, (q, base)
-            gamma = {v for v, (_, spin) in tight.items() if spin == 0}
-            ar = ar_quiver(q, xi)
-            assert (ar.height, ar.window, ar.phi) == (xi, (lo - 2 * n - 2, hi), tight), (q, base)
-            assert ar.phi_inv == {key: v for v, key in tight.items()}, (q, base)
-            assert ar.gamma_vertices == gamma, (q, base)
-            assert ar.m == {i: sum(j == i for j, _ in gamma) - 1 for i in t.index_set}, (q, base)
+def phi_items_oracle(q: DynkinQuiver, xi, window):
+    """phi_oracle's items in phi's insertion order: the seeds by index, then
+    the entries below their seed by descending p and then index, then those
+    above by ascending p and then index."""
+
+    def key(item):
+        (i, p), _ = item
+        return (0, 0, i) if p == xi[i] else (1, -p, i) if p < xi[i] else (2, p, i)
+
+    return sorted(phi_oracle(q, xi, window).items(), key=key)
 
 
-def phi_tuple_knit_oracle(q: DynkinQuiver, xi, window):
-    """Knit root tuples: sum the neighbour tuples and subtract the back one
-    coefficient by coefficient, testing signs with min()."""
+def _moved(items, d: int, window) -> list:
+    """The items on the window, moved up by d: the table at the height
+    function xi + d.  Moving keeps their order."""
     lo, hi = window
-    t = q.ftype
-    signed = {(i, xi[i]): gamma_root(q, i) for i in t.index_set}
-    table = {key: (v, 0) for key, v in signed.items()}
-    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
-        for p in range(start + d, stop + d, d):
-            for i in t.index_set:
-                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
-                    continue
-                back = (i, p - 2 * d)
-                prev = signed[back]
-                mesh = [signed[(j, p - d)] for j in neighbors(t, i)]
-                v = tuple(sum(cs) - c for *cs, c in zip(*mesh, prev))
-                spin = table[back][1]
-                if (min(v) < 0) != (min(prev) < 0):
-                    spin += d
-                signed[(i, p)] = v
-                table[(i, p)] = (tuple(-c for c in v) if min(v) < 0 else v, spin)
-    return table
+    return [((i, p + d), label) for (i, p), label in items if lo <= p <= hi]
+
+
+def _bases(t: FiniteType):
+    """Every base vertex at height 0, vertex 1 at an odd height and vertex N
+    at height 3."""
+    return [(v, 0) for v in t.index_set] + [(1, 1), (t.rank, 3)]
+
+
+def _same_items(got, want) -> bool:
+    """Equal, and every dict field with its items in the same order."""
+    return got == want and all(
+        list(a.items()) == list(b.items())
+        for a, b in zip(got, want)
+        if isinstance(a, dict)
+    )
 
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_integer_knit_matches_the_tuple_knit(t):
-    """Every orientation, on the tight window and one padded by 8N, with the
-    same entries in the same insertion order."""
+def test_knitted_phi_matches_the_coxeter_path(t, monkeypatch):
+    """Every orientation and base, on the tight window and one padded by 8N:
+    the same entries in the same insertion order, one decode per distinct
+    root, and gamma_root equal to its search.  The Coxeter path is walked
+    once per orientation and moved to each base."""
     n = t.rank
+    decoded = []
+
+    def counting(code, length):
+        decoded.append(abs(code))
+        return rootsys._unknit(code, length)
+
+    monkeypatch.setattr(quiver, "_unknit", counting)
     for q in all_orientations(t):
-        xi = height_function(q)
-        lo, hi = min(xi.values()), max(xi.values())
-        for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
-            want = phi_tuple_knit_oracle(q, xi, window)
-            got = phi(q, xi, window)
-            assert list(got.items()) == list(want.items()), (q, window)
+        assert [gamma_root(q, i) for i in t.index_set] == [
+            gamma_root_oracle(q, i) for i in t.index_set
+        ], q
+        xi0 = height_function(q)
+        lo, hi = min(xi0.values()), max(xi0.values())
+        windows = ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n))
+        items = phi_items_oracle(q, xi0, windows[1])
+        assert len({label for _, label in items}) == len(items), q
+        for base in _bases(t):
+            xi = height_function(q, *base)
+            d = xi[1] - xi0[1]
+            for w_lo, w_hi in windows:
+                decoded.clear()
+                got = phi(q, xi, (w_lo + d, w_hi + d))
+                at = (q, base, (w_lo, w_hi))
+                assert list(got.items()) == _moved(items, d, (w_lo, w_hi)), at
+                roots = {root for root, _ in got.values()}
+                assert len(set(decoded)) == len(decoded) == len(roots), at
 
 
 @pytest.mark.parametrize(
@@ -281,75 +297,6 @@ def test_phi_raises_when_the_knit_leaves_the_exact_range(monkeypatch, seeds):
     monkeypatch.setattr(quiver, "_gamma_codes", lambda q, xi: codes)
     with pytest.raises(AssertionError, match="not a signed root"):
         phi(q, xi, (min(xi.values()) - 8, max(xi.values())))
-
-
-def gamma_root_oracle(q: DynkinQuiver, i: int) -> tuple[int, ...]:
-    """One breadth-first search back along the arrows from i."""
-    t = q.ftype
-    into: dict[int, list[int]] = {v: [] for v in t.index_set}
-    for a, b in q.arrows:
-        into[b].append(a)
-    seen = {i}
-    frontier = [i]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in into[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return tuple(1 if v in seen else 0 for v in t.index_set)
-
-
-def phi_per_entry_oracle(q: DynkinQuiver, xi, window):
-    """The integer knit seeded by one gamma_root search per vertex, with
-    every entry decoded on its own."""
-    lo, hi = window
-    t = q.ftype
-    adj = rootsys._adjacency(t)
-    knit = {
-        (i, xi[i]): (int.from_bytes(bytes(gamma_root_oracle(q, i)), "little"), 0) for i in adj
-    }
-    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
-        for p in range(start + d, stop + d, d):
-            for i, nbrs in adj.items():
-                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
-                    continue
-                prev, spin = knit[(i, p - 2 * d)]
-                v = -prev
-                for j in nbrs:
-                    v += knit[(j, p - d)][0]
-                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
-    return {key: (rootsys._unknit(v, t.rank), spin) for key, (v, spin) in knit.items()}
-
-
-@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_one_pass_phi_matches_per_vertex_seeds_and_per_entry_decoding(t, monkeypatch):
-    """Every orientation, two bases, on the tight window and one padded by 8N:
-    the same entries in the same order, one decode per distinct root, and
-    gamma_root equal to its search."""
-    n = t.rank
-    decoded = []
-
-    def counting(code, length):
-        decoded.append(abs(code))
-        return rootsys._unknit(code, length)
-
-    monkeypatch.setattr(quiver, "_unknit", counting)
-    for q in all_orientations(t):
-        assert [gamma_root(q, i) for i in t.index_set] == [
-            gamma_root_oracle(q, i) for i in t.index_set
-        ], q
-        for base in ((1, 0), (n, 3)):
-            xi = height_function(q, *base)
-            lo, hi = min(xi.values()), max(xi.values())
-            for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
-                decoded.clear()
-                got = phi(q, xi, window)
-                assert list(got.items()) == list(phi_per_entry_oracle(q, xi, window).items())
-                assert sorted(decoded) == sorted(set(decoded)), (q, window)
-                assert len(decoded) == len({root for root, _ in got.values()}), (q, window)
 
 
 @pytest.mark.parametrize("n", [2, 8, 64])
@@ -1001,17 +948,34 @@ def schur_weyl_quiver_oracle(ar, t: int) -> SchurWeylDatum:
     )
 
 
-@pytest.mark.parametrize(
-    "t", [t for t in TYPES if t.rank <= 7], ids=lambda t: f"{t.family}{t.rank}"
-)
+def _moved_datum(sw: SchurWeylDatum, g: AffineType, d: int) -> SchurWeylDatum:
+    """The datum at the height function moved up by d: each slot at p + d,
+    its point times (-q)^d as its class's representative.  Every ratio of two
+    slots stays, and with it every arrow, the Cartan matrix and qexp."""
+    shift = SpectralParam.minus_q_power(d)
+    entries = tuple((r, i, p + d) for r, i, p in sw.entries)
+    x_map = {r: vertex_class(g, sw.s[r], x * shift).x for r, x in sw.X.items()}
+    verts = tuple((str(r), f"{i},{p}") for r, i, p in entries)
+    return SchurWeylDatum(
+        entries, dict(sw.s), x_map, LabeledQuiver(verts, sw.quiver.arrows), sw.cartan, sw.qexp
+    )
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
 def test_schur_weyl_quiver_matches_the_pairwise_classes(t):
+    """Every orientation and base, t = 1 and 2: equal data, with the same
+    dict orders.  The pairwise classes are built once per orientation and t
+    and moved to each base."""
+    types = {tw: AffineType(t.family, tw, t.rank) for tw in (1, 2)}
     for q in all_orientations(t):
-        ar = ar_quiver(q)
-        for tw in (1, 2):
-            got, want = schur_weyl_quiver(ar, tw), schur_weyl_quiver_oracle(ar, tw)
-            assert got == want, (q, tw)
-            assert list(got.s.items()) == list(want.s.items()), (q, tw)
-            assert list(got.qexp.items()) == list(want.qexp.items()), (q, tw)
+        ar0 = ar_quiver(q)
+        at_xi0 = {tw: schur_weyl_quiver_oracle(ar0, tw) for tw in types}
+        for base in _bases(t):
+            ar = ar_quiver(q, height_function(q, *base))
+            for tw, g in types.items():
+                got = schur_weyl_quiver(ar, tw)
+                want = _moved_datum(at_xi0[tw], g, ar.height[1] - ar0.height[1])
+                assert _same_items(got._fields(got), want._fields(want)), (q, base, tw)
 
 
 def test_schur_weyl_quiver_checks_both_ratios_at_sign_quotient_nodes(monkeypatch):
@@ -1063,39 +1027,13 @@ def test_schur_weyl_quiver_checks_the_later_slot_of_a_pair(monkeypatch):
     assert str(whole.value) == str(single.value) == text
 
 
-def phi_dict_knit_oracle(q: DynkinQuiver, xi, window):
-    """The integer knit on a dict keyed (i, p), scanning every vertex at every
-    height, with the labels decoded at the end."""
-    lo, hi = window
-    t = q.ftype
-    adj = rootsys._adjacency(t)
-    codes = quiver._gamma_codes(q, xi)
-    knit = {(i, xi[i]): (codes[i], 0) for i in adj}
-    for d, start, stop in ((-1, max(xi.values()), lo), (1, min(xi.values()), hi)):
-        for p in range(start + d, stop + d, d):
-            for i, nbrs in adj.items():
-                if (p - xi[i]) * d <= 0 or (p - xi[i]) % 2:
-                    continue
-                prev, spin = knit[(i, p - 2 * d)]
-                v = -prev
-                for j in nbrs:
-                    v += knit[(j, p - d)][0]
-                knit[(i, p)] = (v, spin + d if (v < 0) != (prev < 0) else spin)
-    roots = {}
-    for v, _ in knit.values():
-        if abs(v) not in roots:
-            roots[abs(v)] = rootsys._unknit(v, t.rank)
-    return {key: (roots[abs(v)], spin) for key, (v, spin) in knit.items()}
-
-
-def ar_data_oracle(q: DynkinQuiver, xi):
-    """Gamma_Q on the tight window of xi, its column reading and that word's
-    root sequence, derived from the whole table: the inverse by a loop, the
-    slice by spin, the reading by sorting, the word certified by its length,
-    the arrows by set probes and sorting, m by counting letters."""
+def ar_data_oracle(q: DynkinQuiver, xi, table):
+    """Gamma_Q from the phi table on the tight window of xi, its column
+    reading and that word's root sequence: the inverse by a loop, the slice by
+    spin, the reading by sorting, the word certified by its length, the arrows
+    by set probes and sorting, m by counting letters."""
     t = q.ftype
     window = (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
-    table = phi_dict_knit_oracle(q, xi, window)
     inv = {}
     for vertex, key in table.items():
         if key in inv:
@@ -1116,96 +1054,25 @@ def ar_data_oracle(q: DynkinQuiver, xi):
     return ARData(q, xi, window, table, inv, gamma, tuple(arrows), m), w0, order
 
 
-def schur_weyl_slot_oracle(ar, t: int) -> SchurWeylDatum:
-    """One validated class per slot (vertex_class, or pi when t = 2), its
-    integers read back off the class, one _arrow_mult call per ordered slot
-    pair and the validating LabeledQuiver."""
-    ftype = ar.quiver.ftype
-    g1 = AffineType(ftype.family, 1, ftype.rank)
-    g = g1 if t == 1 else g1.partner()
-    entries, slot = [], {}
-    for r in ftype.index_set:
-        i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
-        entries.append((r, i, p))
-        point = SpectralParam.minus_q_power(p)
-        slot[r] = vertex_class(g1, i, point) if t == 1 else pi(g1, i, point)
-    idx = ftype.index_set
-    raw = sequiver._raw_tables(g)
-    keys = [(r, v.i, v.x.zeta, v.x.m, has_sign_quotient(g, v.i)) for r, v in slot.items()]
-    dmat, arrows = {}, []
-    cartan = [[2 * (a == b) for b in idx] for a in idx]
-    for a, i, za, ma, qa in keys:
-        for b, j, zb, mb, qb in keys:
-            if a != b:
-                mult = sequiver._arrow_mult(
-                    raw(i, j), zb - za, mb - ma, qa or qb, slot[a], slot[b]
-                )
-                dmat[a, b] = mult
-                if mult:
-                    arrows.append((str(a), str(b), mult))
-                    cartan[a - 1][b - 1] -= mult
-                    cartan[b - 1][a - 1] -= mult
-    s_map = {r: v.i for r, v in slot.items()}
-    x_map = {r: v.x for r, v in slot.items()}
-    lq = LabeledQuiver(tuple((str(r), f"{i},{p}") for r, i, p in entries), tuple(arrows))
-    qexp = {(a, b): (dmat[a, b], dmat[b, a]) for a, b in combinations(idx, 2)}
-    return SchurWeylDatum(tuple(entries), s_map, x_map, lq, tuple(map(tuple, cartan)), qexp)
-
-
-def _bases(t: FiniteType):
-    """Every base vertex at height 0, and vertex 1 at an odd height."""
-    return [(v, 0) for v in t.index_set] + [(1, 1)]
-
-
-def _same_items(got, want) -> bool:
-    """Equal, and every dict field with its items in the same order."""
-    return got == want and all(
-        list(a.items()) == list(b.items())
-        for a, b in zip(got, want)
-        if isinstance(a, dict)
-    )
-
-
-@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_one_label_map_per_pass_matches_the_dict_knit(t):
-    """Every orientation and base, on the tight window and one padded by 8N:
-    the same entries in the same insertion order."""
-    n = t.rank
-    for q in all_orientations(t):
-        for base in _bases(t):
-            xi = height_function(q, *base)
-            lo, hi = min(xi.values()), max(xi.values())
-            for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
-                got, want = phi(q, xi, window), phi_dict_knit_oracle(q, xi, window)
-                assert list(got.items()) == list(want.items()), (q, base, window)
-
-
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
 def test_gamma_read_off_the_knit_matches_the_derivations(t):
     """Every orientation: _tau_data's fields, word and order equal the
-    derivations from the whole table, with the same dict orders, and so does
-    ar_quiver at every base."""
+    derivations from the Coxeter-path table, with the same dict orders, and
+    so does ar_quiver at every base."""
+    n = t.rank
     for q in all_orientations(t):
+        xi0 = height_function(q)
+        tight = (min(xi0.values()) - 2 * n - 2, max(xi0.values()))
+        items = phi_items_oracle(q, xi0, tight)
         got = quiver._tau_data.__wrapped__(q)
-        want = ar_data_oracle(q, height_function(q))
+        want = ar_data_oracle(q, xi0, dict(items))
         assert _same_items(got[0]._fields(got[0]), want[0]._fields(want[0])), q
         assert got[1:] == want[1:], q
         for base in _bases(t):
             xi = height_function(q, *base)
-            ar, want = ar_quiver(q, xi), ar_data_oracle(q, xi)[0]
+            d = xi[1] - xi0[1]
+            ar, want = ar_quiver(q, xi), ar_data_oracle(q, xi, dict(_moved(items, d, tight)))[0]
             assert _same_items(ar._fields(ar), want._fields(want)), (q, base)
-
-
-@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_integer_slots_match_the_object_slots(t):
-    """Every orientation and base, t = 1 and 2: equal data, with the same
-    dict orders."""
-    for q in all_orientations(t):
-        for base in _bases(t):
-            ar = ar_quiver(q, height_function(q, *base))
-            for tw in (1, 2):
-                got, want = schur_weyl_quiver(ar, tw), schur_weyl_slot_oracle(ar, tw)
-                assert _same_items(got._fields(got), want._fields(want)), (q, base, tw)
 
 
 @cache

@@ -291,34 +291,9 @@ LOOPY = (
 )
 
 
-@pytest.mark.parametrize("vertices, arrows, message", LOOPY)
-def test_trusted_quiver_rejects_loops_and_two_cycles_as_the_validated_one(
-    vertices, arrows, message
-):
+@pytest.mark.parametrize("vertices, arrows, message", LOOPY, ids=["loop", "2-cycle", "first-loop"])
+def test_labeled_quiver_names_the_first_loop_or_two_cycle(vertices, arrows, message):
     """The constructor names the first loop or 2-cycle in arrow order."""
     with pytest.raises(ValueError) as info:
         LabeledQuiver(vertices, arrows)
     assert str(info.value) == message
-
-
-WINDOW_TYPES = [
-    AffineType(family, twist, n)
-    for family, low in (("A", 2), ("D", 4))
-    for twist in (1, 2)
-    for n in range(low, 9)
-]
-
-
-@pytest.mark.parametrize("g", WINDOW_TYPES, ids=lambda g: f"{g.code}_{g.N}")
-def test_trusted_window_quiver_equals_the_validated_one(g):
-    """Bound 2N, seeded by Se0 and by single classes: the quiver se_window
-    builds is rebuilt unchanged from its own fields."""
-    top = g.index_set[-1]
-    for seeds in (
-        [se0_seed(g)],
-        [vertex_class(g, 1, SpectralParam(1, 0))],
-        [vertex_class(g, top, SpectralParam(2, 1))],
-    ):
-        quiver, _ = se_window(g, seeds, 2 * g.N)
-        assert quiver.arrows
-        assert quiver == LabeledQuiver(quiver.vertices, quiver.arrows), (g, seeds)

@@ -8,11 +8,11 @@ from __future__ import annotations
 import pytest
 
 from arquiver import verify
-from arquiver.dorey import DoreyVerdict
+from arquiver.dorey import DoreyTriple, DoreyVerdict
 from arquiver.quiver import ConvexPartialOrder, DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
 from arquiver.sequiver import LabeledQuiver, SchurWeylDatum
-from arquiver.spectral import AffineType, p_star
+from arquiver.spectral import AffineType, SpectralParam, p_star
 from test_acceptance import VERIFY_CASES
 
 A3 = FiniteType("A", 3)
@@ -367,4 +367,194 @@ def test_pi_iso_on_se0_catches_a_multiplicity_that_changes(monkeypatch):
     assert report.passed is False
     assert report.counterexample == (
         f"A1 N=4: multiplicity changes under the fold at {v} -> {w}"
+    )
+
+
+# Injected defects for the checks that guard the fold and the Dorey rule:
+# one per failure branch, each wrong at an early case.  The fold checks start
+# at A1 N=2, whose twisted partner A2 N=2 has the one index 1; the Dorey
+# checks start at A1 N=2 (1, 1, 1), and the first holding triple is
+# (1, 1, 2) with x/z = (-q)^-1 and y/z = (-q)^1, tag A-i.
+
+A1_2 = AffineType("A", 1, 2)
+A2_2 = A1_2.partner()
+FIRST_CLASS = verify.vertex_class(A2_2, 1, SpectralParam(0, -8))  # A2 N=2 (1,q^-8)
+RX, RY = (2, -1), (2, 1)  # the A-i ratios of A1 N=2 (1, 1, 2) as (zeta, m)
+FIRST_HOLDING = DoreyTriple(
+    A1_2, (1, SpectralParam(*RX)), (1, SpectralParam(*RY)), (2, SpectralParam.one())
+)
+
+
+def _patch_at(monkeypatch, name: str, case, wrong) -> None:
+    """Make verify's ``name`` answer ``wrong(true answer)`` at the argument
+    ``case`` and truly elsewhere."""
+    true_fn = getattr(verify, name)
+    monkeypatch.setattr(
+        verify, name, lambda arg: wrong(true_fn(arg)) if arg == case else true_fn(arg)
+    )
+
+
+def test_pi_two_to_one_catches_a_fibre_of_the_wrong_size(monkeypatch):
+    _patch_at(monkeypatch, "pi_preimages", FIRST_CLASS, lambda fibre: fibre[:1])
+    report = verify.run_check("pi_two_to_one")
+    assert report.passed is False
+    assert report.counterexample == (
+        "A2 N=2 (1,q^-8): fiber of 1:q^-8 is ((1, SpectralParam(zeta=0, m=-8)),)"
+    )
+
+
+def test_pi_two_to_one_catches_a_stray_preimage(monkeypatch):
+    """The second point (2, q^-8) of the fibre moves to (2, q^-6)."""
+    _patch_at(
+        monkeypatch, "pi_preimages", FIRST_CLASS,
+        lambda fibre: (fibre[0], (2, SpectralParam(0, -6))),
+    )
+    report = verify.run_check("pi_two_to_one")
+    assert report.passed is False
+    assert report.counterexample == "A2 N=2 (1,q^-8): (2,q^-6) does not fold onto 1:q^-8"
+
+
+def test_pi_two_to_one_catches_a_point_missing_from_its_fibre(monkeypatch):
+    """A fibre that is whole when first read and loses its second point on
+    every later read, as a shared memo that a caller edited would.  The
+    classes are read once each, so only the sweep over the untwisted points,
+    which reads every fibre again, sees it."""
+    true_preimages, reads = verify.pi_preimages, []
+
+    def forgetful(v):
+        fibre = true_preimages(v)
+        if v == FIRST_CLASS:
+            reads.append(v)
+            return fibre[:1] if len(reads) > 1 else fibre
+        return fibre
+
+    monkeypatch.setattr(verify, "pi_preimages", forgetful)
+    report = verify.run_check("pi_two_to_one")
+    assert report.passed is False
+    assert report.counterexample == "A1 N=2 (2,q^-8): missing from its fiber"
+
+
+@pytest.mark.parametrize("name", ["dual_point", "right_dual_point"])
+def test_pi_duality_catches_a_dual_that_does_not_commute_with_the_fold(monkeypatch, name):
+    """The twisted dual of A2 N=2 moved by q^2: the first point sees it."""
+    true_dual = getattr(verify, name)
+
+    def moved(g, i, x):
+        j, y = true_dual(g, i, x)
+        return (j, y * SpectralParam(0, 2)) if g == A2_2 else (j, y)
+
+    moved.__name__ = name
+    monkeypatch.setattr(verify, name, moved)
+    report = verify.run_check("pi_duality")
+    assert report.passed is False
+    assert report.counterexample == f"A1 N=2 (1,q^-8): {name} does not commute with the fold"
+
+
+def test_dorey_bruteforce_agree_catches_a_tag_that_disagrees_at_one_ratio(monkeypatch):
+    """condition_tag misses the first holding triple."""
+    true_tag, case = verify.condition_tag, (A1_2, 1, 1, 2, RX, RY)
+    monkeypatch.setattr(
+        verify, "condition_tag", lambda *args: None if args == case else true_tag(*args)
+    )
+    report = verify.run_check("dorey_bruteforce_agree")
+    assert report.passed is False
+    assert report.counterexample == (
+        f"A1 N=2 (1, 1, 2): rx={RX} ry={RY}: matcher says None, enumeration says A-i"
+    )
+
+
+def test_dorey_bruteforce_agree_catches_a_ratio_outside_the_grid(monkeypatch):
+    """_mqp puts (-q)^1 at q-power 9, past the grid |m| <= 2N + 1 = 5 of N=2."""
+    true_mqp = verify._mqp
+    monkeypatch.setattr(verify, "_mqp", lambda e: (true_mqp(e)[0], 9) if e == 1 else true_mqp(e))
+    report = verify.run_check("dorey_bruteforce_agree")
+    assert report.passed is False
+    assert report.counterexample == "A1 N=2 (1, 1, 2): a condition ratio escapes the grid"
+
+
+@pytest.mark.parametrize(
+    "name, wrong, expected",
+    [
+        ("dorey_untwisted", lambda v: DoreyVerdict(True, "A-ii"), "matcher tag A-ii != A-i"),
+        ("multiple_pole_class", lambda cls: "double", "pole double under A-i"),
+    ],
+    ids=["matcher-tag", "pole-class"],
+)
+def test_pole_class_catches_a_wrong_answer(monkeypatch, name, wrong, expected):
+    _patch_at(monkeypatch, name, FIRST_HOLDING, wrong)
+    report = verify.run_check("pole_class")
+    assert report.passed is False
+    assert report.counterexample == f"A1 N=2 (1, 1, 2): {expected}"
+
+
+def test_pole_class_catches_a_raising_classification(monkeypatch):
+    true_class = verify.multiple_pole_class
+
+    def raising(triple):
+        if triple == FIRST_HOLDING:
+            raise AssertionError("zero order 0 does not match tag A-i at -q^2")
+        return true_class(triple)
+
+    monkeypatch.setattr(verify, "multiple_pole_class", raising)
+    report = verify.run_check("pole_class")
+    assert report.passed is False
+    assert report.counterexample == (
+        "A1 N=2 (1, 1, 2): A-i: zero order 0 does not match tag A-i at -q^2"
+    )
+
+
+def _folded(triple: DoreyTriple) -> DoreyTriple:
+    """The triple folded point by point, as twisted_lift_consistency folds it."""
+    images = (verify.pi(triple.g, *point) for point in (triple.a, triple.b, triple.c))
+    return DoreyTriple(triple.g.partner(), *((v.i, v.x) for v in images))
+
+
+def test_twisted_lift_consistency_catches_a_flipped_verdict(monkeypatch):
+    """The first case: A1 N=2 (1, 1, 1) at x = y = (-q)^-4, which fails."""
+    mq = SpectralParam.minus_q_power
+    up = DoreyTriple(A1_2, (1, mq(-4)), (1, mq(-4)), (1, SpectralParam.one()))
+    _patch_at(monkeypatch, "dorey_twisted", _folded(up), lambda v: DoreyVerdict(not v.holds))
+    report = verify.run_check("twisted_lift_consistency")
+    assert report.passed is False
+    assert report.counterexample == f"A1 N=2 (1, 1, 1): lift inconsistency at {up}"
+
+
+def test_twisted_lift_consistency_catches_a_witness_that_does_not_hold(monkeypatch):
+    """The first holding case gets its witness with the first two points
+    swapped."""
+    down = _folded(FIRST_HOLDING)
+    _patch_at(
+        monkeypatch, "dorey_twisted", down,
+        lambda v: DoreyVerdict(True, v.condition, (v.witness[1], v.witness[0], v.witness[2])),
+    )
+    report = verify.run_check("twisted_lift_consistency")
+    assert report.passed is False
+    assert report.counterexample == f"A1 N=2 (1, 1, 2): invalid witness at {down}"
+
+
+def test_twisted_lift_consistency_catches_a_verdict_that_depends_on_the_representative(
+    monkeypatch,
+):
+    """A dorey_twisted that flips its verdict when a point at a sign-quotient
+    node comes as the negated representative (zeta >= 2).  Twisted A with N
+    odd is the first type with such a node (index 2 of A2 N=3), and
+    A1 N=3 (1, 1, 2) folds z onto it."""
+    true_twisted = verify.dorey_twisted
+
+    def flipping(triple):
+        verdict = true_twisted(triple)
+        points = (triple.a, triple.b, triple.c)
+        if any(verify.has_sign_quotient(triple.g, i) and x.zeta >= 2 for i, x in points):
+            return DoreyVerdict(not verdict.holds)
+        return verdict
+
+    monkeypatch.setattr(verify, "dorey_twisted", flipping)
+    mq = SpectralParam.minus_q_power
+    down = _folded(
+        DoreyTriple(AffineType("A", 1, 3), (1, mq(-7)), (1, mq(-7)), (2, SpectralParam.one()))
+    )
+    report = verify.run_check("twisted_lift_consistency")
+    assert report.passed is False
+    assert report.counterexample == (
+        f"A1 N=3 (1, 1, 2): verdict depends on the class representative at {down}"
     )
