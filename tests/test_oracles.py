@@ -224,23 +224,12 @@ def _same_items(got, want) -> bool:
 
 
 @pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
-def test_knitted_phi_matches_the_coxeter_path(t, monkeypatch):
+def test_knitted_phi_matches_the_coxeter_path(t):
     """Every orientation and base, on the tight window and one padded by 8N:
-    the same entries in the same insertion order, one decode per distinct
-    root, and gamma_root equal to its search.  The Coxeter path is walked
+    the same entries in the same insertion order.  The Coxeter path is walked
     once per orientation and moved to each base."""
     n = t.rank
-    decoded = []
-
-    def counting(code, length):
-        decoded.append(abs(code))
-        return rootsys._unknit(code, length)
-
-    monkeypatch.setattr(quiver, "_unknit", counting)
     for q in all_orientations(t):
-        assert [gamma_root(q, i) for i in t.index_set] == [
-            gamma_root_oracle(q, i) for i in t.index_set
-        ], q
         xi0 = height_function(q)
         lo, hi = min(xi0.values()), max(xi0.values())
         windows = ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n))
@@ -250,12 +239,35 @@ def test_knitted_phi_matches_the_coxeter_path(t, monkeypatch):
             xi = height_function(q, *base)
             d = xi[1] - xi0[1]
             for w_lo, w_hi in windows:
-                decoded.clear()
                 got = phi(q, xi, (w_lo + d, w_hi + d))
                 at = (q, base, (w_lo, w_hi))
                 assert list(got.items()) == _moved(items, d, (w_lo, w_hi)), at
-                roots = {root for root, _ in got.values()}
-                assert len(set(decoded)) == len(decoded) == len(roots), at
+
+
+@pytest.mark.parametrize("t", TYPES, ids=lambda t: f"{t.family}{t.rank}")
+def test_one_pass_phi_matches_per_vertex_seeds_and_per_entry_decoding(t, monkeypatch):
+    """Every orientation, two bases, on the tight window and one padded by 8N:
+    gamma_root equal to its search, one decode per distinct root, and each
+    entry's root equal to its own code decoded on its own."""
+    n, decoded = t.rank, []
+
+    def counting(code, length):
+        decoded.append(abs(code))
+        return rootsys._unknit(code, length)
+
+    monkeypatch.setattr(quiver, "_unknit", counting)
+    for q in all_orientations(t):
+        assert all(gamma_root(q, i) == gamma_root_oracle(q, i) for i in t.index_set), q
+        for base in ((1, 0), (n, 3)):
+            xi = height_function(q, *base)
+            lo, hi = min(xi.values()), max(xi.values())
+            for window in ((lo - 2 * n - 2, hi), (lo - 8 * n, hi + 8 * n)):
+                decoded.clear()
+                got = list(phi(q, xi, window).items())
+                roots = {root for _, (root, _) in got}
+                assert len(set(decoded)) == len(decoded) == len(roots), (q, window)
+                knit = quiver._knit(q, xi, window)[0]
+                assert got == [(k, (rootsys._unknit(v, n), s)) for k, v, s in knit], (q, window)
 
 
 @pytest.mark.parametrize(
