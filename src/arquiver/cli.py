@@ -368,9 +368,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"# {args.command} {elapsed}ms", file=sys.stderr)
 
 
-def entry_point() -> int:
-    return main()
-
-
 if __name__ == "__main__":
     sys.exit(main())

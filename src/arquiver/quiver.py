@@ -129,10 +129,11 @@ def height_function(q: DynkinQuiver, base_vertex: int = 1, base_value: int = 0) 
 # peak RSS grew by about a fifth.
 @lru_cache(maxsize=8)
 def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...]]:
-    """Gamma_Q at height_function(q), its column reading from the top height
-    downward (the adapted w0 word, checked here once per quiver) and that
-    word's root sequence, the convex order of minimal pairs, all read off one
-    knit.  Row i of Gamma_Q is the spin-0 prefix of the downward row i (going
+    """Gamma_Q at height_function(q), its column reading (the adapted w0 word,
+    checked here once per quiver) and that word's root sequence, the convex
+    order of minimal pairs, all read off one knit.  Gamma_Q is the knit's
+    spin-0 entries, and the reading takes them by descending height, then
+    index.  Row i of Gamma_Q is the spin-0 prefix of the downward row i (going
     up, tau P_i = I_i[-1] has spin 1).  The root sequence must equal the
     labels of the reading, and its roots label the whole table."""
     t = q.ftype
@@ -140,31 +141,33 @@ def _tau_data(q: DynkinQuiver) -> tuple[ARData, tuple[int, ...], tuple[Root, ...
     # The tight window: from max xi down to at least one step below every row
     # of Gamma_Q, as a row has at most rank vertices, the top one at xi_i.
     window = (min(xi.values()) - 2 * t.rank - 2, max(xi.values()))
-    entries, gamma, gamma_codes = _knit(q, xi, window)
+    entries = _knit(q, xi, window)
     keys, codes, spins = zip(*entries)
+    gamma = sorted((e for e in entries if not e[2]), key=lambda e: (-e[0][1], e[0][0]))
     if len(gamma) != t.num_positive_roots():
         raise AssertionError("spin-0 slice does not match the positive roots")
-    w0 = tuple(map(operator.itemgetter(0), gamma))
+    vertices, gamma_codes, _ = zip(*gamma)
+    w0 = tuple(i for i, _ in vertices)
     if not is_adapted(q, w0):
         raise AssertionError("column reading is not adapted to the orientation")
     try:
         order = root_sequence(t, w0)
     except ValueError:
         raise AssertionError("column reading is not a longest-element word") from None
-    if list(map(int.from_bytes, map(bytes, order), repeat("little"))) != gamma_codes:
+    if tuple(map(int.from_bytes, map(bytes, order), repeat("little"))) != gamma_codes:
         raise AssertionError("Gamma_Q labels differ from the root sequence of its reading")
     labels = list(zip(map(dict(zip(gamma_codes, order)).__getitem__, map(abs, codes)), spins))
     table, inv = dict(zip(keys, labels)), dict(zip(labels, keys))
     if len(inv) != len(table):
         key = next(key for n, key in enumerate(labels) if labels.index(key) < n)
         raise AssertionError(f"phi is not injective on the window at {key}")
-    low = dict(gamma)  # row i of Gamma_Q: (i, p) for p = low_i, low_i + 2, ..., xi_i
+    low = dict(vertices)  # row i of Gamma_Q: (i, p) for p = low_i, low_i + 2, ..., xi_i
     # (i, p) -> (j, p + 1) is an arrow iff p + 1 lies in row j; generated sorted.
     arrows = tuple([(src, (j, p + 1)) for i, nbrs in _adjacency(t).items()
                     for p in range(low[i], xi[i] + 1, 2) for src in ((i, p),)
                     for j in nbrs if low[j] <= p + 1 <= xi[j]])
     m = {i: (xi[i] - low[i]) // 2 for i in t.index_set}
-    return ARData(q, xi, window, table, inv, frozenset(gamma), arrows, m), w0, order
+    return ARData(q, xi, window, table, inv, frozenset(vertices), arrows, m), w0, order
 
 
 def _w0_order(q: DynkinQuiver) -> tuple[Root, ...]:
@@ -216,7 +219,7 @@ def phi(
     _check_height(q, xi)
     if any(not lo <= xi[i] <= hi for i in q.ftype.index_set):
         raise ValueError("window must contain all height function values")
-    keys, codes, spins = zip(*_knit(q, xi, window)[0])
+    keys, codes, spins = zip(*_knit(q, xi, window))
     roots: dict[int, Root] = {}
     for v in codes:
         if abs(v) not in roots:
@@ -224,17 +227,16 @@ def phi(
     return dict(zip(keys, zip(map(roots.__getitem__, map(abs, codes)), spins)))
 
 
-def _knit(q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]) -> tuple:
-    """phi's entries (i, p), signed code, spin in insertion order, and the keys
-    and codes at spin 0 of the seeds and the downward pass in reading order.
-    A pass keeps the latest label of each vertex and walks each level over the
-    vertices of its parity: going down, a neighbour's label is one level up and
-    i's own two levels up; going up is the mirror."""
+def _knit(q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]) -> list:
+    """phi's entries (i, p), signed code, spin in insertion order: the seeds,
+    then the downward pass, then the upward pass.  A pass keeps the latest
+    label of each vertex and walks each level over the vertices of its parity:
+    going down, a neighbour's label is one level up and i's own two levels up;
+    going up is the mirror."""
     adj, top = _adjacency(q.ftype), _gamma_codes(q, xi)
     seeds = [0, *map(top.__getitem__, adj)]  # the labels at xi, by vertex
     entries = [((i, xi[i]), seeds[i], 0) for i in adj]
     rows = tuple([(i, xi[i], nbrs) for i, nbrs in adj.items() if xi[i] & 1 == r] for r in (0, 1))
-    gamma, gamma_codes = [], []
     for d, levels in ((-1, range(max(xi.values()), window[0] - 1, -1)),
                       (1, range(min(xi.values()) + 1, window[1] + 1))):
         last, spin = seeds[:], [0] * len(seeds)
@@ -247,16 +249,9 @@ def _knit(q: DynkinQuiver, xi: dict[int, int], window: tuple[int, int]) -> tuple
                         v += last[j]
                     if (v < 0) != (prev < 0):
                         spin[i] += d
-                    last[i], key, s = v, (i, p), spin[i]
-                    entries.append((key, v, s))
-                elif p == h:  # a seed, read on the way down
-                    key, v, s = (i, p), last[i], 0
-                else:
-                    continue
-                if not s and d < 0:
-                    gamma.append(key)
-                    gamma_codes.append(v)
-    return entries, gamma, gamma_codes
+                    last[i] = v
+                    entries.append(((i, p), v, spin[i]))
+    return entries
 
 
 class ARData(Value):

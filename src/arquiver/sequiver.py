@@ -205,7 +205,7 @@ def se_window(
 ) -> tuple[LabeledQuiver, tuple[SeVertex, ...]]:
     """Finite piece of Se(g): all classes with |q-power| <= power_bound in the
     seeds' parity lattices, with arrow multiplicities from zero orders.  The
-    arrows out of (i, x) go to the classes (j, x * r), r a zero of d_{i,j}."""
+    arrows out of (i, x) go to the other classes (j, x * r), r a zero of d_{i,j}."""
     order = _lattice_classes(g, seeds, power_bound)
     # Each class as the integer key (i, zeta, m) of its canonical representative.
     keys = [(v.i, v.x.zeta, v.x.m) for v in order]
@@ -214,19 +214,17 @@ def se_window(
     raw, quotient = _raw_tables(g), {j: has_sign_quotient(g, j) for j in g.index_set}
     arrows = []
     for n, (i, zeta, m) in enumerate(keys):
-        heads = set()
+        heads = {}  # position -> multiplicity, taken when a zero first reaches it
         for j in g.index_set:
-            for dz, dm in raw(i, j):
+            roots, quot = raw(i, j), quotient[i] or quotient[j]
+            for dz, dm in roots:
                 hz = (zeta + dz) % 4
                 # A sign-quotient class is keyed by its representative with zeta < 2.
-                p = pos.get((j, hz - 2 if quotient[j] and hz >= 2 else hz, m + dm))
-                if p is not None and p != n:
-                    heads.add(p)
-        for p in sorted(heads):
-            j, hz, hm = keys[p]
-            quot = quotient[i] or quotient[j]
-            mult = _arrow_mult(raw(i, j), hz - zeta, hm - m, quot, labels[n], labels[p])
-            arrows.append((labels[n], labels[p], mult))
+                hz -= 2 if quotient[j] and hz >= 2 else 0
+                p = pos.get((j, hz, m + dm))
+                if p is not None and p != n and p not in heads:
+                    heads[p] = _arrow_mult(roots, hz - zeta, dm, quot, labels[n], labels[p])
+        arrows += [(labels[n], labels[p], heads[p]) for p in sorted(heads)]
     return LabeledQuiver(tuple(zip(labels, labels)), tuple(arrows)), order
 
 

@@ -379,8 +379,9 @@ def _check_minimal_pairs_dorey() -> Cases:
         t, ar = q.ftype, ar_quiver(q)
         allowed = {"A-i", "A-ii"} if t.family == "A" else {"D-i", "D-iii"}
         # The order minimal_pair_triple reads: the one-order memo then holds.
+        # A tuple word would get that very order back from root_sequence's memo.
         order = _w0_order(q)
-        same = order == root_sequence(t, adapted_word(q, "w0"))
+        same = order == root_sequence(t, list(adapted_word(q, "w0")))
         yield at, None if same else "w0 order is not its word's root sequence"
         for alpha in order:
             for pair in minimal_pairs(order, alpha):

@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,19 @@ def test_import_leaves_verify_unloaded():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_the_console_script_target_answers_a_query():
+    """pyproject's ``arquiver`` script, resolved and called as the generated
+    wrapper calls it: no arguments, the query in sys.argv."""
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    script = r'^\[project\.scripts\]\narquiver = "([\w.]+):(\w+)"$'
+    module, func = re.search(script, pyproject, re.M).groups()
+    argv = ["arquiver", "denominator", "--g", "A1", "--n", "3", "--k", "1", "--l", "1"]
+    code = f"import sys; from {module} import {func}; sys.argv = {argv!r}; sys.exit({func}())"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == run_cli(*argv[1:]).stdout != ""
 
 
 def test_verify_single_check():

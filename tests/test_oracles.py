@@ -266,7 +266,7 @@ def test_one_pass_phi_matches_per_vertex_seeds_and_per_entry_decoding(t, monkeyp
                 got = list(phi(q, xi, window).items())
                 roots = {root for _, (root, _) in got}
                 assert len(set(decoded)) == len(decoded) == len(roots), (q, window)
-                knit = quiver._knit(q, xi, window)[0]
+                knit = quiver._knit(q, xi, window)
                 assert got == [(k, (rootsys._unknit(v, n), s)) for k, v, s in knit], (q, window)
 
 

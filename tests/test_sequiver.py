@@ -194,6 +194,20 @@ def test_window_rejects_a_negative_bound():
         se0_window(A1_2, -1)
 
 
+@pytest.mark.parametrize("g", [A2_3, D1_4, D2_5], ids=lambda g: f"{g.code}_{g.N}")
+def test_window_draws_no_loop_from_a_zero_at_ratio_one(monkeypatch, g):
+    """Se has no loops: a zero of d_{i,i} at z = 1, which no denominator has,
+    would lead from every class to itself, and the window leaves it out."""
+    want, true_raw = se_window(g, [se0_seed(g)], 2 * g.N), sequiver._raw_tables
+
+    def with_a_zero_at_one(g):
+        raw = true_raw(g)
+        return lambda k, l: {**raw(k, l), (0, 0): 1} if k == l else raw(k, l)
+
+    monkeypatch.setattr(sequiver, "_raw_tables", with_a_zero_at_one)
+    assert se_window(g, [se0_seed(g)], 2 * g.N) == want
+
+
 def test_se0_window_is_sorted_and_in_component():
     verts = se0_window(A2_3, 3)
     assert verts == tuple(sorted(verts, key=lambda v: (v.i, v.x.m, v.x.zeta)))

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from arquiver import verify
-from arquiver.dorey import DoreyTriple, DoreyVerdict
+from arquiver.dorey import DoreyTriple, DoreyVerdict, EmbedResult
 from arquiver.quiver import ConvexPartialOrder, DynkinQuiver, all_orientations
 from arquiver.rootsys import FiniteType
 from arquiver.sequiver import LabeledQuiver, SchurWeylDatum
@@ -157,6 +157,16 @@ def test_an_assertion_inside_a_check_is_an_invariant_violation(monkeypatch):
     assert report.counterexample == "invariant violated: overlapping conditions at A1 (1, 1, 1)"
 
 
+@pytest.mark.parametrize("name", ["dorey_bruteforce_agree", "pole_class"])
+def test_overlapping_conditions_are_an_invariant_violation(monkeypatch, name):
+    """With every index pair a spin pair, D1 N=4 (1, 1, 2) meets the D-i and
+    the D-iii clauses at one ratio pair, and _candidate_conditions raises."""
+    monkeypatch.setattr(verify, "_spin_pair", lambda vals, n: True)
+    report = verify.run_check(name)
+    assert report.passed is False
+    assert report.counterexample == "invariant violated: overlapping conditions at D1 (1, 1, 2)"
+
+
 def test_an_unknown_check_name_is_rejected():
     with pytest.raises(ValueError) as info:
         verify.run_check("nope")
@@ -297,6 +307,29 @@ def test_minimal_pairs_dorey_catches_an_order_that_is_not_the_words(monkeypatch)
     report = verify.run_check("minimal_pairs_dorey")
     assert report.passed is False
     assert report.counterexample == f"{A4_AT}: w0 order is not its word's root sequence"
+
+
+def test_minimal_pairs_dorey_compares_the_order_with_a_fresh_sequence(monkeypatch):
+    """root_sequence's memo hands a tuple word's sequence back as the very
+    object _w0_order(q) holds, and an order compared with itself always
+    passes: no sequence the check compares may be one of those objects."""
+    true_order, true_sequence, orders, sequences = verify._w0_order, verify.root_sequence, [], []
+
+    def recording_order(q):
+        orders.append(true_order(q))
+        return orders[-1]
+
+    def recording_sequence(t, word):
+        sequences.append(true_sequence(t, word))
+        return sequences[-1]
+
+    monkeypatch.setattr(verify, "_w0_order", recording_order)
+    monkeypatch.setattr(verify, "root_sequence", recording_sequence)
+    report = verify.run_check("minimal_pairs_dorey")
+    assert (report.passed, report.cases) == (True, VERIFY_CASES["minimal_pairs_dorey"])
+    assert len(sequences) == len(orders) == 118  # every orientation of A2-A6 and D4-D6
+    held = set(map(id, orders))
+    assert not [seq for seq in sequences if id(seq) in held]
 
 
 def test_minimal_pairs_dorey_catches_a_failing_triple_construction(monkeypatch):
@@ -558,3 +591,59 @@ def test_twisted_lift_consistency_catches_a_verdict_that_depends_on_the_represen
     assert report.counterexample == (
         f"A1 N=3 (1, 1, 2): verdict depends on the class representative at {down}"
     )
+
+
+# Injected defects for lemma_embedding: embed_pair_in_AR goes wrong at the
+# first pair of one kind.  The check starts at A1 N=2, whose Se0 window opens
+# with an adjacent pair, then a pair that is not adjacent, then a dual pair.
+
+
+def _wrong_embedding_at(monkeypatch, kind, wrong) -> None:
+    """Make embed_pair_in_AR answer ``wrong(true result)`` at the first pair
+    whose true result satisfies ``kind``, and truly elsewhere."""
+    true_embed, hit = verify.embed_pair_in_AR, []
+
+    def patched(g1, v, w):
+        res = true_embed(g1, v, w)
+        if not hit and kind(res):
+            hit.append(res)
+            return wrong(res)
+        return res
+
+    monkeypatch.setattr(verify, "embed_pair_in_AR", patched)
+
+
+def _raising(res):
+    raise AssertionError("no AR-quiver embedding found")
+
+
+def _moved_by_two(res):
+    (i1, s1), second = res.positions
+    return EmbedResult(True, None, res.quiver, res.height, res.shift, ((i1, s1 + 2), second))
+
+
+@pytest.mark.parametrize(
+    "kind, wrong, expected",
+    [
+        (lambda res: True, _raising, "1:q^-4 1:q^-2: no AR-quiver embedding found"),
+        (
+            lambda res: res.reason == "dual pair", lambda res: EmbedResult(False, "not adjacent"),
+            "1:q^-4 2:-q^-1: expected the dual-pair signal",
+        ),
+        (
+            lambda res: res.reason == "not adjacent", lambda res: EmbedResult(False, "dual pair"),
+            "1:q^-4 1:q^0: expected the non-adjacency signal",
+        ),
+        (
+            lambda res: res.found, lambda res: EmbedResult(False, "no orientation"),
+            "1:q^-4 1:q^-2: embedding missing (no orientation)",
+        ),
+        (lambda res: res.found, _moved_by_two, "1:q^-4 1:q^-2: witness fails revalidation"),
+    ],
+    ids=["raises", "dual", "not-adjacent", "missing", "moved"],
+)
+def test_lemma_embedding_catches_a_wrong_embedding(monkeypatch, kind, wrong, expected):
+    _wrong_embedding_at(monkeypatch, kind, wrong)
+    report = verify.run_check("lemma_embedding")
+    assert report.passed is False
+    assert report.counterexample == f"A1 N=2 {expected}"
