@@ -64,7 +64,6 @@ _SUBMODULE = {
     "se0_contains": "sequiver",
     "se0_window": "sequiver",
     "se_window": "sequiver",
-    "simple_root": "rootsys",
     "vertex_class": "sequiver",
     "w0_involution": "rootsys",
     "zero_order": "spectral",

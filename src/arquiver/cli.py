@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -106,7 +107,7 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)  # flushed here, a closed reader raises in main
 
 
 def _dumps(obj: object) -> str:
@@ -246,7 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if not report.passed:
             failed = True
             line += f" :: {report.counterexample}"
-        print(line)
+        print(line, flush=True)
         print(f"# {report.check_name} {report.elapsed_ms}ms", file=sys.stderr)
     return 1 if failed else 0
 
@@ -357,6 +358,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _cmd_verify(args)
         _emit(args.handler(args), args.out)
         return 0
+    except BrokenPipeError:  # the reader left: quiet the exit flush too (Python docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,12 +147,6 @@ def distance(t: FiniteType, i: int, j: int) -> int:
     return _all_distances(t)[(i, j)]
 
 
-def simple_root(t: FiniteType, i: int) -> Root:
-    if i not in t.index_set:
-        raise ValueError(f"vertex {i} not in the index set of {t}")
-    return tuple(1 if j == i else 0 for j in t.index_set)
-
-
 def pairing(t: FiniteType, i: int, v: Root) -> int:
     """Evaluation of the i-th simple coroot on v: 2 v_i minus v_j over the
     neighbours j of i."""
@@ -260,20 +254,18 @@ def represents_w0(t: FiniteType, word: Sequence[int]) -> bool:
     return True
 
 
+def _star(family: str, n: int, i: int) -> int:
+    """i* under w0 on A_n or D_n: N+1-i on A_N; on D_N the fork nodes swap
+    when N is odd and every other node is fixed."""
+    if family == "A":
+        return n + 1 - i
+    return 2 * n - 1 - i if n % 2 and i >= n - 1 else i
+
+
 @lru_cache(maxsize=None)
 def w0_involution(t: FiniteType) -> MappingProxyType[int, int]:
-    """The diagram involution i -> i* induced by the longest element (read-only).
-
-    A_N: i* = N+1-i.  D_N: swaps the fork nodes when N is odd, identity when
-    N is even.
-    """
-    n = t.rank
-    if t.family == "A":
-        return MappingProxyType({i: n + 1 - i for i in t.index_set})
-    out = {i: i for i in t.index_set}
-    if n % 2 == 1:
-        out[n - 1], out[n] = n, n - 1
-    return MappingProxyType(out)
+    """The diagram involution i -> i* induced by the longest element (read-only)."""
+    return MappingProxyType({i: _star(t.family, t.rank, i) for i in t.index_set})
 
 
 def add_roots(a: Root, b: Root) -> Root:

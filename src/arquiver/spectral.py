@@ -13,7 +13,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable
 
-from .rootsys import FiniteType, OrderedValue, Value, _set
+from .rootsys import FiniteType, OrderedValue, Value, _set, _star
 
 _PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PARAM_RE = re.compile(r"([+-]?)(i?)q\^(-?\d+)$", re.ASCII)
@@ -193,8 +193,8 @@ def _denominator_data(
 
 @lru_cache(maxsize=None)
 def _raw_tables(g: AffineType) -> Callable[[int, int], MappingProxyType[tuple[int, int], int]]:
-    """denominator_roots_raw on g for valid indices, each (k, l) built on first
-    request, without index checks or hashing g: one fetch per Schur-Weyl datum."""
+    """The one fetch of a raw d_{k,l} on g, for valid indices in either order:
+    each (k, l) built on first request, without index checks or hashing g."""
     return lru_cache(maxsize=None)(lambda k, l: _denominator_data(g, min(k, l), max(k, l))[1])
 
 
@@ -203,7 +203,7 @@ def denominator_roots_raw(
 ) -> MappingProxyType[tuple[int, int], int]:
     """Read-only root multiset of d_{k,l} as raw (zeta, m) keys; symmetric in k, l."""
     _check_indices(g, k, l)
-    return _denominator_data(g, min(k, l), max(k, l))[1]
+    return _raw_tables(g)(k, l)
 
 
 class DenominatorZeros(Value):
@@ -238,16 +238,11 @@ def zero_order(g: AffineType, k: int, l: int, x: SpectralParam) -> int:
 
 
 def dual_index(g: AffineType, i: int) -> int:
-    """The involution i* matching left/right duals of fundamental modules."""
+    """The involution i* matching left/right duals of fundamental modules:
+    w0's on an untwisted type, the identity on a twisted one."""
     if i not in g.index_set:
         raise ValueError(f"index {i} out of range for {g.code} N={g.N}")
-    if g.twist == 2:
-        return i
-    if g.family == "A":
-        return g.N + 1 - i
-    if g.N % 2 == 1 and i >= g.N - 1:
-        return 2 * g.N - 1 - i
-    return i
+    return i if g.twist == 2 else _star(g.family, g.N, i)
 
 
 def p_star(g: AffineType) -> SpectralParam:

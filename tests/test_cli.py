@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -268,6 +269,28 @@ def test_command_timing_goes_to_stderr():
     res = run_cli("denominator", "--g", "A1", "--n", "2", "--k", "1", "--l", "1")
     assert res.stderr.startswith("# denominator ")
     assert res.stderr.strip().endswith("ms")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("se-quiver", "--g", "A2", "--n", "3", "--seed", "2:iq^0"), ("verify", "--check", "pole_class")],
+    ids=["se-quiver", "verify"],
+)
+def test_a_reader_that_leaves_first_gets_status_1_and_no_traceback(argv, unbuffered):
+    """The read end closes before the child writes; only the timing line follows."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "arquiver.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+    )
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert child.wait() == 1, stderr
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr, stderr
+    assert re.search(rf"^# {argv[0]} \d+ms$", stderr, re.M), stderr
 
 
 CAPPED = (

@@ -49,7 +49,6 @@ from arquiver.rootsys import (
     positive_roots,
     reflect,
     root_sequence,
-    simple_root,
 )
 from arquiver.sequiver import (
     LabeledQuiver,
@@ -84,6 +83,13 @@ TYPES = tuple(FiniteType("A", n) for n in range(2, 9)) + tuple(
 )
 
 
+def _unit(t: FiniteType, i: int) -> tuple[int, ...]:
+    """The simple root alpha_i as a unit coefficient vector."""
+    if i not in t.index_set:
+        raise ValueError(f"vertex {i} not in the index set of {t}")
+    return tuple(int(j == i) for j in t.index_set)
+
+
 def _reflect_dense(t: FiniteType, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """s_i through a dense Cartan row (only called with a valid vertex i)."""
     c = sum(a * x for a, x in zip(cartan_matrix(t)[i - 1], v))
@@ -96,7 +102,7 @@ def root_sequence_oracle(t: FiniteType, word) -> tuple[tuple[int, ...], ...]:
     """Prefix replay: beta_k = s_{i_1} ... s_{i_{k-1}}(alpha_{i_k}) from scratch."""
     seq = []
     for k, letter in enumerate(word):
-        v = simple_root(t, letter)
+        v = _unit(t, letter)
         for prior in reversed(word[:k]):
             v = _reflect_dense(t, prior, v)
         if any(c < 0 for c in v):
@@ -930,7 +936,7 @@ def schur_weyl_quiver_oracle(ar, t: int) -> SchurWeylDatum:
     g1 = AffineType(ftype.family, 1, ftype.rank)
     entries, s_map, x_map = [], {}, {}
     for r in ftype.index_set:
-        i, p = ar.phi_inv[(simple_root(ftype, r), 0)]
+        i, p = ar.phi_inv[(_unit(ftype, r), 0)]
         entries.append((r, i, p))
         point = SpectralParam.minus_q_power(p)
         if t == 1:
@@ -1090,7 +1096,7 @@ def test_gamma_read_off_the_knit_matches_the_derivations(t):
 @cache
 def positive_roots_oracle(t: FiniteType) -> frozenset[tuple[int, ...]]:
     """The simple roots closed under every simple reflection."""
-    found = {simple_root(t, i) for i in t.index_set}
+    found = {_unit(t, i) for i in t.index_set}
     frontier = list(found)
     while frontier:
         nxt = []

@@ -20,7 +20,6 @@ from arquiver.rootsys import (
     reflect,
     represents_w0,
     root_sequence,
-    simple_root,
     w0_involution,
 )
 
@@ -95,6 +94,21 @@ def test_w0_involution_tables():
     assert w0_involution(A3) == {1: 3, 2: 2, 3: 1}
     assert w0_involution(D4) == {1: 1, 2: 2, 3: 3, 4: 4}
     assert w0_involution(D5) == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
+
+
+def test_w0_involution_is_minus_w0_on_the_simple_roots():
+    """-w0(alpha_i) = alpha_{i*}, with w0 the word (1)(2 1)...(N ... 1) on A_N
+    and (1 2 ... N)^(N-1) on D_N."""
+    for t in [FiniteType("A", n) for n in range(2, 13)] + [FiniteType("D", n) for n in range(4, 13)]:
+        if t.family == "A":
+            word = tuple(i for k in t.index_set for i in range(k, 0, -1))
+        else:
+            word = tuple(t.index_set) * (t.rank - 1)
+        assert represents_w0(t, word)
+        star = w0_involution(t)
+        for i in t.index_set:
+            image = apply_word(t, word, tuple(-int(j == i) for j in t.index_set))
+            assert image == tuple(int(j == star[i]) for j in t.index_set), (t, i)
 
 
 def test_w0_involution_is_a_read_only_view_of_the_cache():
@@ -173,7 +187,7 @@ def test_reflect_is_an_involution(tiv):
 @given(type_index_vector())
 def test_reflect_negates_own_simple_root(tiv):
     t, i, _ = tiv
-    a = simple_root(t, i)
+    a = tuple(int(j == i) for j in t.index_set)
     assert reflect(t, i, a) == tuple(-c for c in a)
 
 

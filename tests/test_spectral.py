@@ -3,12 +3,17 @@ zero multisets."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from arquiver.rootsys import w0_involution
 from arquiver.spectral import (
     AffineType,
     SpectralParam,
+    _denominator_data,
+    _raw_tables,
     denominator,
     denominator_roots_raw,
     dual_index,
@@ -22,6 +27,15 @@ A1_3 = AffineType.from_code("A1", 3)
 A2_4 = AffineType.from_code("A2", 4)
 D1_4 = AffineType.from_code("D1", 4)
 D2_4 = AffineType.from_code("D2", 4)
+
+
+def _pairs(nmax: int) -> list[tuple[AffineType, AffineType]]:
+    """(g1, g2), the untwisted and twisted A/D types, for every N <= nmax."""
+    return [
+        (AffineType(family, 1, n), AffineType(family, 2, n))
+        for family, low in (("A", 2), ("D", 4))
+        for n in range(low, nmax + 1)
+    ]
 
 
 def test_spectral_param_strings():
@@ -111,6 +125,18 @@ def test_denominator_roots_are_a_read_only_view_of_the_cache():
     assert denominator_roots_raw(A1_3, 1, 1) == {(0, 2): 1}
 
 
+def test_raw_roots_come_through_the_per_type_table():
+    """Over denominator_structure's universe: one object per d_{k,l}, the
+    cached view, whichever path fetches it."""
+    for pair in _pairs(16):
+        for g in pair:
+            table = _raw_tables(g)
+            for k in g.index_set:
+                for l in g.index_set:
+                    raw = denominator_roots_raw(g, k, l)
+                    assert raw is table(k, l) is _denominator_data(g, min(k, l), max(k, l))[1]
+
+
 def test_denominator_is_symmetric_in_k_l():
     for g in (A1_3, A2_4, D1_4, D2_4):
         idx = g.index_set
@@ -145,10 +171,13 @@ def test_zero_order_lookup():
 
 
 def test_index_bounds_checked():
-    with pytest.raises(ValueError):
-        denominator(A1_3, 0, 1)
-    with pytest.raises(ValueError):
-        denominator(A2_4, 3, 1)
+    """Every fetch of d_{k,l} checks its indices, with one message."""
+    one = SpectralParam.one()
+    for fetch in (denominator, denominator_roots_raw, lambda g, k, l: zero_order(g, k, l, one)):
+        with pytest.raises(ValueError, match=re.escape("k=0 out of range 1..3 for A1 N=3")):
+            fetch(A1_3, 0, 1)
+        with pytest.raises(ValueError, match=re.escape("k=3 out of range 1..2 for A2 N=4")):
+            fetch(A2_4, 3, 1)
 
 
 def test_p_star_values():
@@ -165,6 +194,14 @@ def test_dual_index_tables():
     d14 = AffineType.from_code("D1", 4)
     assert [dual_index(d14, i) for i in (3, 4)] == [3, 4]
     assert [dual_index(A2_4, i) for i in (1, 2)] == [1, 2]
+
+
+def test_dual_index_reads_the_w0_involution():
+    """i* of w0 on the classical type when untwisted, the identity when twisted."""
+    for g1, g2 in _pairs(64):
+        star = w0_involution(g1.classical())
+        assert [dual_index(g1, i) for i in g1.index_set] == [star[i] for i in g1.index_set]
+        assert [dual_index(g2, i) for i in g2.index_set] == list(g2.index_set)
 
 
 def test_dual_point_example():
